@@ -26,7 +26,6 @@ from repro.locality.phases import (
 )
 from repro.locality.reuse import (
     ReuseProfile,
-    batch_previous_positions,
     first_last_positions,
     gap_histogram,
     previous_occurrence,
@@ -56,7 +55,6 @@ __all__ = [
     "bursty_footprint",
     "sample_bursts",
     "ReuseProfile",
-    "batch_previous_positions",
     "first_last_positions",
     "gap_histogram",
     "previous_occurrence",

@@ -125,34 +125,44 @@ def footprint_from_gaps(
     (:func:`average_footprint`) and the online streaming profiler
     (:mod:`repro.online.profiler`), whose histogram is scaled up from a
     spatial sample — hence fractional counts and a fractional ``m`` are
-    accepted.  ``max_window`` truncates the curve (a snapshot only needs
-    windows up to the cache fill time, not the whole stream length).
+    accepted.  ``gap_hist[g]`` counts gaps of length ``g``; bin 0 and bins
+    past ``n`` are ignored.  ``max_window`` truncates the curve (a snapshot
+    only needs windows up to the cache fill time, not the whole stream
+    length).
+
+    Only windows up to the longest gap are computed: a longer window fits
+    in no gap, so it avoids no block and ``fp(w) = m`` exactly.  The suffix
+    sums below only move at non-empty bins, so they are summed over those
+    bins alone; since adding ``0.0`` is exact, the result is bit-for-bit
+    the dense formula's, whose float operations it otherwise repeats in
+    the same order.
     """
     w_max = int(n if max_window is None else min(max_window, n))
     values = np.zeros(w_max + 1, dtype=np.float64)
     if n == 0 or w_max == 0:
         return values
     gap_hist = np.asarray(gap_hist, dtype=np.float64)
-    max_gap = gap_hist.size - 1
-    # suffix sums over the gap histogram:
+    gaps = np.flatnonzero(gap_hist[1 : n + 1] != 0) + 1  # non-empty lengths
+    k = min(int(gaps[-1]), w_max) if gaps.size else 0
+    values[k + 1 :] = m
+    if k == 0:
+        return values
+    # suffix sums over the gap histogram, from the longest gap down:
     #   S1(w) = sum_{g >= w} G[g]          (number of gaps at least w long)
     #   S2(w) = sum_{g >= w} g * G[g]
     # then T(w) = sum_g G[g] * max(g - w + 1, 0) = S2(w) - (w - 1) * S1(w).
-    s1 = np.zeros(n + 2, dtype=np.float64)
-    s2 = np.zeros(n + 2, dtype=np.float64)
-    upto = min(max_gap, n)
-    if upto >= 1:
-        counts = np.zeros(n + 1, dtype=np.float64)
-        weights = np.zeros(n + 1, dtype=np.float64)
-        counts[1 : upto + 1] = gap_hist[1 : upto + 1]
-        weights[1 : upto + 1] = gap_hist[1 : upto + 1] * np.arange(1, upto + 1)
-        s1[:-1] = np.cumsum(counts[::-1])[::-1]
-        s2[:-1] = np.cumsum(weights[::-1])[::-1]
-
-    w = np.arange(1, w_max + 1, dtype=np.float64)
-    avoiding = s2[1 : w_max + 1] - (w - 1.0) * s1[1 : w_max + 1]
-    windows = n - w + 1.0
-    values[1:] = m - avoiding / windows
+    # Both are constant for w in (gaps[i-1], gaps[i]].
+    counts = gap_hist[gaps]
+    s1 = np.cumsum(counts[::-1])[::-1]
+    s2 = counts * gaps
+    s2 = np.cumsum(s2[::-1])[::-1]
+    run = np.diff(gaps, prepend=0)
+    # fp(w) = m - T(w) / (n - w + 1) for w = 1..k, in one buffer
+    out = np.arange(k, dtype=np.float64)  # w - 1
+    out *= np.repeat(s1, run)[:k]
+    np.subtract(np.repeat(s2, run)[:k], out, out=out)
+    out /= np.arange(n, n - k, -1, dtype=np.float64)
+    np.subtract(m, out, out=values[1 : k + 1])
     return values
 
 

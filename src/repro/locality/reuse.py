@@ -11,7 +11,9 @@ ASPLOS'13) as restated in the paper:
 * the **reuse interval** used internally here is ``r = j - i`` so that the
   *gap* of non-access positions strictly between the pair is ``r - 1``.
 
-All functions are vectorized; no per-access Python loops.
+All functions are vectorized; no per-access Python loops.  They take a
+whole trace; the streaming profiler (:mod:`repro.online.profiler`) runs
+the same stable-argsort gap pass over sampled chunks of a stream.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.workloads.trace import Trace
 
 __all__ = [
     "previous_occurrence",
-    "batch_previous_positions",
     "reuse_intervals",
     "reuse_time_histogram",
     "first_last_positions",
@@ -59,59 +60,6 @@ def previous_occurrence(trace: Trace | np.ndarray) -> np.ndarray:
     # within each id-group, order[] is increasing by position (stable sort),
     # so the left neighbour in the sorted view is the previous occurrence.
     prev[order[same_as_left]] = order[np.flatnonzero(same_as_left) - 1]
-    return prev
-
-
-def batch_previous_positions(
-    blocks: np.ndarray,
-    positions: np.ndarray,
-    last_seen: dict[int, int],
-    first_seen: dict[int, int] | None = None,
-) -> np.ndarray:
-    """Previous global position of each access, carrying state across batches.
-
-    The incremental-update hook behind the streaming profiler
-    (:mod:`repro.online.profiler`): ``blocks[i]`` was accessed at global
-    stream position ``positions[i]``; the returned array holds the global
-    position of the previous access to the same block, or ``-1`` for a
-    stream-first access.  ``last_seen`` (block → last global position) is
-    updated in place so the next batch continues seamlessly; pass
-    ``first_seen`` to also record each block's first global position (the
-    prefix-gap input of the footprint formula).
-
-    Reuses within the batch are resolved vectorized (the stable-argsort
-    trick of :func:`previous_occurrence`); only the first occurrence of
-    each distinct block per batch touches the carry dict, so the Python
-    cost is O(distinct blocks per batch), not O(accesses).
-    """
-    blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    positions = np.ascontiguousarray(positions, dtype=np.int64)
-    if blocks.shape != positions.shape or blocks.ndim != 1:
-        raise ValueError("blocks and positions must be 1-D and of equal length")
-    k = blocks.size
-    prev = np.full(k, -1, dtype=np.int64)
-    if k == 0:
-        return prev
-    order = np.argsort(blocks, kind="stable")
-    sorted_blocks = blocks[order]
-    same_as_left = np.empty(k, dtype=bool)
-    same_as_left[0] = False
-    np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same_as_left[1:])
-    prev[order[same_as_left]] = positions[order[np.flatnonzero(same_as_left) - 1]]
-    # batch-first occurrences consult (and seed) the carry state
-    for i in order[~same_as_left]:
-        b = int(blocks[i])
-        carried = last_seen.get(b, -1)
-        if carried >= 0:
-            prev[i] = carried
-        elif first_seen is not None:
-            first_seen[b] = int(positions[i])
-    # batch-last occurrence of each distinct block becomes the new carry
-    is_last = np.empty(k, dtype=bool)
-    is_last[-1] = True
-    np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=is_last[:-1])
-    for i in order[is_last]:
-        last_seen[int(blocks[i])] = int(positions[i])
     return prev
 
 
@@ -169,7 +117,9 @@ def gap_histogram(trace: Trace | np.ndarray) -> np.ndarray:
     datum iff it fits inside one of its gaps.
 
     Returns ``G`` with ``G[g]`` = number of gaps of length ``g`` (``g >= 1``;
-    zero-length gaps are dropped as they never contain a window).
+    zero-length gaps are dropped as they never contain a window).  The
+    streaming profiler builds the same histogram chunk by chunk, carrying
+    each sampled block's first and last position between folds.
     """
     blocks = _as_blocks(trace)
     n = blocks.size

@@ -70,6 +70,7 @@ from repro.core.policy import (
     explicit_baseline_costs,
     slo_headroom,
 )
+from repro.locality.mrc import MissRatioCurve
 from repro.obs import NULL_FLIGHT_RECORDER
 from repro.obs.timeseries import EpochTimeSeries
 from repro.obs.trace import NULL_TRACER
@@ -129,7 +130,9 @@ class ControllerConfig:
     min-plus fold from the first tenant whose curve actually changed
     since the previous solve (bit-identical results at ``quantum=0``);
     it only engages once a prior solve exists, so the first epoch is
-    always a full fold.
+    always a full fold.  ``seed`` perturbs the SHARDS hash of every
+    tenant's profiler (tenant ``i`` hashes with ``seed + 7919 i`` modulo
+    ``2**64``) and must be in ``[0, 2**64)``.
     """
 
     cache_blocks: int
@@ -155,6 +158,8 @@ class ControllerConfig:
             raise ValueError("thresholds must be >= 0")
         if self.max_buffered is not None and self.max_buffered < 1:
             raise ValueError("max_buffered must be >= 1 (or None for unbounded)")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +228,7 @@ class OnlineController:
             StreamingProfiler(
                 sampling_rate=config.sampling_rate,
                 max_window=config.max_window,
-                seed=config.seed + 7919 * i,
+                seed=(config.seed + 7919 * i) % 2**64,
                 name=self.names[i],
             )
             for i in range(n_tenants)
@@ -503,14 +508,15 @@ class OnlineController:
 
     # ------------------------------------------------------------------
     def _epoch_costs(
-        self,
+        self, mrcs: list[MissRatioCurve | None]
     ) -> tuple[list[np.ndarray], list[np.ndarray], int, int, list[str]]:
         """Per-tenant (policy cost, miss-ratio) curves for this epoch.
 
-        Also returns the tenants whose SLO cap (or explicit baseline
-        threshold) was unsatisfiable this epoch: those degrade to a
-        best-effort uncapped curve instead of killing the controller,
-        and the epoch counts as SLO-infeasible.
+        ``mrcs`` holds each tenant's snapshot (``None`` for a tenant with
+        no sample this epoch).  Also returns the tenants whose SLO cap (or
+        explicit baseline threshold) was unsatisfiable this epoch: those
+        degrade to a best-effort uncapped curve instead of killing the
+        controller, and the epoch counts as SLO-infeasible.
         """
         grid = self.config.cache_blocks
         policy = self._policy
@@ -519,8 +525,7 @@ class OnlineController:
         infeasible: list[str] = []
         n_total = 0
         n_longest = 0
-        for i, prof in enumerate(self._profilers):
-            mrc = prof.mrc(grid)
+        for i, (prof, mrc) in enumerate(zip(self._profilers, mrcs)):
             if mrc is None:  # idle or finished tenant: any allocation is free
                 costs.append(np.zeros(grid + 1))
                 ratios.append(np.zeros(grid + 1))
@@ -552,25 +557,21 @@ class OnlineController:
                 infeasible.append(err.tenant)
         return costs, ratios, n_total, n_longest, infeasible
 
-    def _relaxed_costs(self) -> list[np.ndarray]:
+    def _relaxed_costs(self, mrcs: list[MissRatioCurve | None]) -> list[np.ndarray]:
         """Cap- and baseline-free weighted curves: the best-effort fallback."""
         grid = self.config.cache_blocks
         relaxed = ObjectivePolicy(weights=self._policy.weights)
-        out: list[np.ndarray] = []
-        for i, prof in enumerate(self._profilers):
-            mrc = prof.mrc(grid)
-            out.append(
-                np.zeros(grid + 1)
-                if mrc is None
-                else compile_tenant_cost(mrc, relaxed, i)
-            )
-        return out
+        return [
+            np.zeros(grid + 1) if mrc is None else compile_tenant_cost(mrc, relaxed, i)
+            for i, mrc in enumerate(mrcs)
+        ]
 
     def _finalize_epoch(self) -> AllocationDecision:
         cfg = self.config
         self.flight.set_epoch(self._epoch)
         with self.tracer.span("controller.epoch", epoch=self._epoch) as espan:
-            costs, ratios, n_total, n_longest, degraded = self._epoch_costs()
+            mrcs = [prof.mrc(cfg.cache_blocks) for prof in self._profilers]
+            costs, ratios, n_total, n_longest, degraded = self._epoch_costs(mrcs)
             self.metrics.epochs += 1
             previous = None if self._current is None else self._current.copy()
 
@@ -650,7 +651,7 @@ class OnlineController:
                         # jointly infeasible caps: degrade to best effort
                         degraded.append("*joint*")
                         result = self.solver_cache.solve(
-                            self._relaxed_costs(),
+                            self._relaxed_costs(mrcs),
                             cfg.cache_blocks,
                             quantum=cfg.quantum * n_longest,
                             warm=warm,

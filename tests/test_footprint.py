@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.locality.footprint import (
     average_footprint,
+    footprint_from_gaps,
     windowed_wss,
     wss_curve_direct,
 )
@@ -135,3 +136,84 @@ def test_footprint_zipf_nearly_concave():
     second = np.diff(coarse, 2)
     assert float(np.mean(second > 1e-6)) < 0.10
     assert second.max() < 0.5
+
+
+# ------------------------------------------ footprint_from_gaps vs dense oracle
+def dense_footprint_from_gaps(gap_hist, n, m, *, max_window=None):
+    """The dense Eq. 5 kernel over every window ``1..n``: the byte oracle.
+
+    Suffix sums run over the whole ``n + 1`` grid, empty bins included;
+    :func:`footprint_from_gaps` must reproduce it bit for bit.
+    """
+    w_max = int(n if max_window is None else min(max_window, n))
+    values = np.zeros(w_max + 1, dtype=np.float64)
+    if n == 0 or w_max == 0:
+        return values
+    gap_hist = np.asarray(gap_hist, dtype=np.float64)
+    max_gap = gap_hist.size - 1
+    s1 = np.zeros(n + 2, dtype=np.float64)
+    s2 = np.zeros(n + 2, dtype=np.float64)
+    upto = min(max_gap, n)
+    if upto >= 1:
+        counts = np.zeros(n + 1, dtype=np.float64)
+        weights = np.zeros(n + 1, dtype=np.float64)
+        counts[1 : upto + 1] = gap_hist[1 : upto + 1]
+        weights[1 : upto + 1] = gap_hist[1 : upto + 1] * np.arange(1, upto + 1)
+        s1[:-1] = np.cumsum(counts[::-1])[::-1]
+        s2[:-1] = np.cumsum(weights[::-1])[::-1]
+    w = np.arange(1, w_max + 1, dtype=np.float64)
+    avoiding = s2[1 : w_max + 1] - (w - 1.0) * s1[1 : w_max + 1]
+    windows = n - w + 1.0
+    values[1:] = m - avoiding / windows
+    return values
+
+
+# bins are empty, whole or fractional (a SHARDS histogram scaled by 1/rate)
+gap_counts = st.one_of(
+    st.just(0.0),
+    st.integers(0, 40).map(float),
+    st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    st.lists(gap_counts, max_size=90).map(lambda xs: np.array(xs, dtype=np.float64)),
+    st.integers(0, 60),
+    st.one_of(st.integers(0, 80), st.floats(0.0, 1e4, allow_nan=False)),
+    st.one_of(st.none(), st.integers(1, 100)),
+)
+@settings(max_examples=400)
+def test_footprint_from_gaps_matches_dense_oracle(hist, n, m, max_window):
+    """Byte equality over histograms shorter and longer than ``n``, and
+    windows capped below and above the longest gap."""
+    got = footprint_from_gaps(hist, n, m, max_window=max_window)
+    want = dense_footprint_from_gaps(hist, n, m, max_window=max_window)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "hist,n,m,max_window",
+    [
+        (np.zeros(0), 10, 3.0, None),  # no bins at all
+        (np.zeros(6), 10, 3.0, None),  # only empty bins
+        (np.array([0.0, 2.0, 0.0, 1.5]), 0, 0.0, None),  # empty trace
+        (np.array([0.0, 2.0, 0.0, 1.5]), 10, 2.5, 2),  # cap below the longest gap
+        (np.array([0.0, 2.0, 0.0, 1.5]), 10, 2.5, 7),  # cap above it
+        (np.array([4.0, 1.0, 0.0, 0.0, 0.0, 2.0, 3.0]), 4, 3.0, None),  # bins past n
+    ],
+)
+def test_footprint_from_gaps_edge_cases(hist, n, m, max_window):
+    got = footprint_from_gaps(hist, n, m, max_window=max_window)
+    assert got.tobytes() == dense_footprint_from_gaps(hist, n, m, max_window=max_window).tobytes()
+    assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("name", ["mcf", "povray", "lbm"])
+def test_footprint_from_gaps_matches_oracle_on_suite_programs(name):
+    from repro.locality.reuse import reuse_profile
+    from repro.workloads.spec import make_suite
+
+    (trace,) = make_suite(1024, names=(name,), length_scale=0.05)
+    prof = reuse_profile(trace)
+    got = footprint_from_gaps(prof.gap_hist, prof.n, prof.m)
+    assert got.tobytes() == dense_footprint_from_gaps(prof.gap_hist, prof.n, prof.m).tobytes()

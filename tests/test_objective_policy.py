@@ -395,6 +395,38 @@ def test_infeasible_cap_degrades_online_and_is_counted():
     assert row["slo_headroom"][1] is None
 
 
+def test_jointly_infeasible_epoch_snapshots_each_tenant_once(monkeypatch):
+    """The best-effort relaxation reuses the epoch's curves, not new snapshots.
+
+    Each cyclic tenant meets its cap alone (40 of 56 blocks) but not both
+    together, so every epoch fails the capped solve and re-solves relaxed.
+    """
+    from repro.online.controller import ControllerConfig, OnlineController
+    from repro.online.profiler import StreamingProfiler
+    from repro.workloads.generators import cyclic
+
+    snapshots = []
+    real_mrc = StreamingProfiler.mrc
+
+    def counting_mrc(self, capacity):
+        snapshots.append(self.name)
+        return real_mrc(self, capacity)
+
+    monkeypatch.setattr(StreamingProfiler, "mrc", counting_mrc)
+    ctrl = OnlineController(
+        2,
+        ControllerConfig(cache_blocks=56, epoch_length=400),
+        names=("a", "b"),
+        policy=ObjectivePolicy(slo_caps=(0.5, 0.5)),
+    )
+    stream = cyclic(1200, 40).blocks
+    decisions = ctrl.ingest([stream, stream + 1000])
+    assert len(decisions) == 3
+    assert not any(d.slo_feasible for d in decisions)
+    assert ctrl.metrics.slo_infeasible_epochs == 3
+    assert snapshots == ["a", "b"] * 3
+
+
 def test_feasible_slo_run_reports_headroom_and_no_violations():
     from repro.online.replay import replay, steady_pair
     from repro.online.controller import ControllerConfig

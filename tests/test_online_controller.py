@@ -286,6 +286,29 @@ def test_controller_validation():
         ctrl.ingest([np.zeros(3, dtype=np.int64)])
 
 
+@pytest.mark.parametrize("seed", [-1, -3, 2**64])
+def test_controller_config_rejects_seeds_outside_uint64(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        _exact_config(8, 10, seed=seed, sampling_rate=0.5)
+
+
+def test_largest_seed_ingests_without_corrupting_state():
+    """Tenant hash seeds wrap modulo 2**64 instead of overflowing mid-ingest.
+
+    Every seed the config accepts must hash cleanly: a sampled ``ingest``
+    that raised after buffering and counting its batch would leave the
+    controller's accounting inconsistent.
+    """
+    ctrl = OnlineController(3, _exact_config(8, 100, seed=2**64 - 1, sampling_rate=0.5))
+    batch = np.arange(60, dtype=np.int64)
+    assert ctrl.ingest([batch, batch, batch]) == []
+    assert ctrl.metrics.accesses_seen == 180 and ctrl.buffered_accesses == 0
+    assert 0 < ctrl.metrics.samples_seen < 180
+    decisions = ctrl.ingest([batch, batch, batch])
+    assert [d.epoch for d in decisions] == [0]
+    assert ctrl.metrics.accesses_seen == 360 and ctrl.buffered_accesses == 0
+
+
 def test_ingest_strict_input_validation():
     ctrl = OnlineController(1, _exact_config(8, 10))
     with pytest.raises(ValueError, match="1-D"):
@@ -329,6 +352,16 @@ def test_serve_cli_max_buffer_knob(capsys):
     rc = main(["serve", "--max-buffer", "0"])
     assert rc == 2
     assert "max_buffered" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["serve", "top"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_serve_cli_rejects_out_of_range_seed(capsys, cmd, seed):
+    rc = main([cmd, "--seed", seed, "--rate", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed must be in")
+    assert "Traceback" not in captured.err
 
 
 def test_serve_cli_steady_with_knobs(capsys):

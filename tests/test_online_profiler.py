@@ -11,10 +11,12 @@ operation:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.locality.footprint import average_footprint, footprint_from_gaps
 from repro.locality.mrc import MissRatioCurve
-from repro.locality.reuse import batch_previous_positions, previous_occurrence
+from repro.online import profiler as profiler_mod
 from repro.online.profiler import StreamingProfiler
 from repro.workloads.generators import cyclic, uniform_random, zipf
 
@@ -23,28 +25,71 @@ MRC_L1_TOL_10PCT = 0.03
 MRC_L1_TOL_1PCT = 0.10
 
 
-# ----------------------------------------------------- incremental hooks
-def test_batch_previous_positions_matches_offline():
-    tr = uniform_random(2000, 50, seed=0)
-    ref = previous_occurrence(tr.blocks)
-    last: dict[int, int] = {}
-    got = np.concatenate([
-        batch_previous_positions(
-            tr.blocks[s : s + 333], np.arange(s, min(s + 333, 2000)), last
-        )
-        for s in range(0, 2000, 333)
-    ])
-    assert np.array_equal(got, ref)
+# ------------------------------------------------------- fold invariance
+@st.composite
+def chunked_streams(draw):
+    """A block stream plus cut points (repeats give empty batches)."""
+    blocks = np.array(draw(st.lists(st.integers(0, 30), max_size=160)), dtype=np.int64)
+    cuts = sorted(draw(st.lists(st.integers(0, blocks.size), max_size=12)))
+    snaps = draw(st.sets(st.integers(0, len(cuts))))
+    return blocks, cuts, snaps
 
 
-def test_batch_previous_positions_records_first_seen():
-    last: dict[int, int] = {}
-    first: dict[int, int] = {}
-    batch_previous_positions(
-        np.array([7, 8, 7, 9]), np.arange(4), last, first
-    )
-    assert first == {7: 0, 8: 1, 9: 3}
-    assert last == {7: 2, 8: 1, 9: 3}
+def _snapshot(prof: StreamingProfiler) -> tuple | None:
+    fp, mrc = prof.footprint(), prof.mrc(40)
+    if fp is None:
+        assert mrc is None
+        return None
+    return fp.values.tobytes(), fp.n, fp.m, mrc.ratios.tobytes()
+
+
+def _unchunked(blocks: np.ndarray, rate: float) -> StreamingProfiler:
+    prof = StreamingProfiler(sampling_rate=rate, seed=11)
+    prof.observe(blocks)
+    return prof
+
+
+@given(
+    chunked_streams(),
+    st.sampled_from([1.0, 0.3]),
+    st.sampled_from([1, 2, 3, 7, profiler_mod._MAX_PENDING]),
+)
+@settings(max_examples=200, deadline=None)
+def test_fold_snapshots_match_one_unchunked_observe(stream, rate, max_pending):
+    """Chunking, mid-stream snapshots and pending-bound folds change no byte.
+
+    A tiny pending bound folds inside ``observe`` into a non-empty table,
+    so the carry/merge path runs; snapshots taken mid-stream fold early
+    too.  Each snapshot equals a fresh profiler fed the same prefix in one
+    batch, and at rate 1.0 the offline ``average_footprint``.
+    """
+    blocks, cuts, snaps = stream
+    bounds = list(zip([0, *cuts], [*cuts, blocks.size]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiler_mod, "_MAX_PENDING", max_pending)
+        chunked = StreamingProfiler(sampling_rate=rate, seed=11)
+        for k, (lo, hi) in enumerate(bounds):
+            chunked.observe(blocks[lo:hi])
+            if k in snaps or k == len(bounds) - 1:
+                whole = _unchunked(blocks[:hi], rate)
+                assert chunked.accesses_seen == whole.accesses_seen == hi
+                assert chunked.samples_seen == whole.samples_seen
+                assert chunked.distinct_sampled == whole.distinct_sampled
+                assert _snapshot(chunked) == _snapshot(whole)
+    if rate == 1.0 and blocks.size:
+        ref = average_footprint(blocks)
+        assert chunked.footprint().values.tobytes() == ref.values.tobytes()
+        offline = MissRatioCurve.from_footprint(ref, 40)
+        assert chunked.mrc(40).ratios.tobytes() == offline.ratios.tobytes()
+
+
+def test_observe_does_not_alias_the_callers_buffer():
+    buf = np.array([1, 2, 1, 3, 2], dtype=np.int64)
+    prof = StreamingProfiler()
+    prof.observe(buf)
+    buf[:] = 9  # the caller reuses its buffer before the next snapshot
+    ref = average_footprint(np.array([1, 2, 1, 3, 2]))
+    assert np.array_equal(prof.footprint().values, ref.values)
 
 
 def test_footprint_from_gaps_truncation():
@@ -129,8 +174,6 @@ def test_shards_spatial_filter_boundary_is_strict(monkeypatch):
     threshold``: at ``sampling_rate=0.5`` the threshold is exactly 2^63
     and a block hashing right onto it must be dropped.
     """
-    from repro.online import profiler as profiler_mod
-
     prof = StreamingProfiler(sampling_rate=0.5)
     assert prof._threshold == np.uint64(1 << 63)  # pin the boundary value
 
@@ -187,3 +230,17 @@ def test_profiler_validation():
         StreamingProfiler(max_window=0)
     with pytest.raises(ValueError):
         StreamingProfiler().observe(np.zeros((2, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**70])
+def test_profiler_rejects_seeds_outside_uint64(seed):
+    with pytest.raises(ValueError, match="seed"):
+        StreamingProfiler(sampling_rate=0.5, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_profiler_hashes_with_any_uint64_seed(seed):
+    prof = StreamingProfiler(sampling_rate=0.5, seed=seed)
+    kept = prof.observe(np.arange(1000, dtype=np.int64))
+    assert 0 < kept < 1000 and prof.samples_seen == kept
+    assert prof.footprint() is not None
