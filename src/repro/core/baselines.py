@@ -13,6 +13,13 @@ Both reduce to the unconstrained DP run on cost curves whose infeasible
 sizes (cost above the program's baseline cost) are masked to ``+inf``
 (:func:`repro.core.objectives.constrained_costs`).  The baseline partition
 itself is always feasible, so the constrained DP can only improve on it.
+
+On miss-count curves, which fall with size, the mask is mostly a leading
+``+inf`` prefix: a program may not shrink below its baseline size.  The
+DP trims those prefixes and folds only the slack the baseline leaves
+(:func:`repro.core.dp.optimal_partition`) — for the natural baseline,
+whose baseline already hands out the whole cache, a median of 9 units
+of a 1024-unit grid over 70 sampled paper-scale groups.
 """
 
 from __future__ import annotations

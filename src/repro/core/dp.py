@@ -7,7 +7,14 @@ convexity assumption** — the cost curves may be any functions, including
 optimization is expressed).
 
 Complexity: O(P · C²) time, O(P · C) space — the numbers the paper quotes
-for 4 programs on a 1024-unit cache.
+for 4 programs on a 1024-unit cache.  The solve reads the fold at one
+budget only, so it folds less than that bound: each curve's leading
+``+inf`` prefix ``s_i`` (sizes it may not receive) is trimmed off, the
+trimmed curves fold on the slack ``B − Σ s_i``, and the last stage is the
+point query :func:`~repro.core.minplus.convolve_at`.  A §VI baseline
+instance whose thresholds leave a slack of 9 units folds 10-long curves
+instead of 1025-long ones.  Callers that need the optimum at *every*
+budget fold with :func:`~repro.core.minplus.fold_curves` directly.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.core.minplus import MinPlusFold, fold_curves
+from repro.core.minplus import convolve_at, fold_curves
 
 __all__ = [
     "PartitionMemo",
@@ -51,15 +58,10 @@ class PartitionResult:
 
     allocation: np.ndarray
     total_cost: float
-    fold: MinPlusFold
 
     @property
     def budget(self) -> int:
         return int(self.allocation.sum())
-
-    def cost_curve(self) -> np.ndarray:
-        """Optimal combined cost for *every* budget ``0 .. C`` (free by-product)."""
-        return self.fold.total
 
 
 def _quantized(curve: np.ndarray, quantum: float) -> np.ndarray:
@@ -166,14 +168,46 @@ def optimal_partition(
         cached = memo.get(key)
         if cached is not None:
             return cached
-    fold = fold_curves(costs)
-    allocation = fold.allocate(budget)
-    result = PartitionResult(
-        allocation=allocation, total_cost=fold.cost(budget), fold=fold
-    )
+    result = _solve_trimmed(costs, budget)
     if memo is not None and key is not None:
         memo[key] = result
     return result
+
+
+def _infeasible_prefix(curve: np.ndarray) -> int:
+    """Length of ``curve``'s leading ``+inf`` run (its size if all ``+inf``)."""
+    open_sizes = np.flatnonzero(curve != np.inf)
+    return int(open_sizes[0]) if open_sizes.size else int(curve.size)
+
+
+def _solve_trimmed(costs: Sequence[np.ndarray], budget: int) -> PartitionResult:
+    """The DP on prefix-trimmed curves, read at ``budget`` by a point query.
+
+    Exact for any curves: after trimming, the stage-``j`` candidates for
+    an output are the untrimmed stage's finite candidates — the same
+    float sums, in the same order — shifted by ``Σ_{i≤j} s_i``, so the
+    first-occurrence argmins, the allocation and the total's bytes are
+    those of the full fold.  Candidates outside the trimmed range are
+    ``+inf`` and never realize a finite optimum.
+    """
+    curves = [np.ascontiguousarray(c, dtype=np.float64) for c in costs]
+    starts = [_infeasible_prefix(c) for c in curves]
+    slack = budget - sum(starts)
+    if slack < 0:
+        raise ValueError(f"no feasible allocation at budget {budget}")
+    trimmed = [c[s : s + slack + 1] for c, s in zip(curves, starts)]
+    head = fold_curves(trimmed[:-1]) if len(trimmed) > 1 else None
+    if head is None:
+        total, k = float(trimmed[0][slack]), 0
+    else:
+        total, k = convolve_at(head.total, trimmed[-1], slack)
+    if not np.isfinite(total):
+        raise ValueError(f"no feasible allocation at budget {budget}")
+    shares: list[int] = [] if head is None else head.allocate(k).tolist()
+    allocation = np.array(shares + [slack - k], dtype=np.int64)
+    return PartitionResult(
+        allocation=allocation + np.array(starts, dtype=np.int64), total_cost=total
+    )
 
 
 def brute_force_partition(

@@ -8,6 +8,9 @@ min-plus convolution:
 Folding all programs' curves this way *is* the paper's dynamic program;
 keeping the kernel separate lets the experiment driver share intermediate
 pair curves across the 1820 co-run groups (DESIGN.md §5 ablation).
+A caller that reads a fold at one budget only runs its last stage as the
+point query :func:`convolve_at` — one output cell in O(k) instead of the
+whole O(C²) convolution.
 
 The convolution itself lives in :mod:`repro.core.kernels` — a registry
 of interchangeable, bit-exact backends selected via ``REPRO_KERNEL`` /
@@ -29,7 +32,34 @@ import numpy as np
 
 from repro.core.kernels import convolve, minplus_convolve
 
-__all__ = ["minplus_convolve", "MinPlusFold", "fold_curves", "fold_curves_stages"]
+__all__ = [
+    "minplus_convolve",
+    "convolve_at",
+    "MinPlusFold",
+    "fold_curves",
+    "fold_curves_stages",
+]
+
+
+def convolve_at(a: np.ndarray, b: np.ndarray, k: int) -> tuple[float, int]:
+    """One cell of ``a ⊕ b``: ``(out[k], split[k])`` without the other cells.
+
+    The point query ``argmin(a[:k+1] + b[k::-1])`` performs exactly the
+    float additions the kernel performs for output ``k``, in the same
+    candidate order, so it returns every backend's ``out[k]`` and
+    first-occurrence ``split[k]`` byte for byte — an all-``+inf`` cell
+    reports split 0 (the :mod:`repro.core.kernels` contract).  O(k) work
+    instead of the full convolution's O(C²).
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("cost curves must be 1-D and of equal length")
+    if not 0 <= k < a.size:
+        raise ValueError(f"k must be in [0, {a.size - 1}]")
+    candidates = a[: k + 1] + b[k::-1]
+    split = int(np.argmin(candidates))
+    return float(candidates[split]), split
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,16 @@ This implementation is the faithful greedy: it is *meant* to inherit the
 convexity flaw — on a plateau-then-cliff curve the one-step marginal gain
 is zero before the cliff, so the greedy never invests there and can end up
 worse than free-for-all sharing, exactly as the paper reports.
+
+The greedy runs as one sort rather than ``budget`` argmax steps.  A
+program's units are taken in order, and a unit whose gain exceeds every
+earlier unit's of the same program is taken right after the unit that
+set that program's running minimum — at that moment it out-gains every
+other program's next unit.  So each unit's priority is its program's
+running-minimum gain, and the greedy's pick order is a stable sort by
+(−running-min gain, program, position), ties included.  The step-by-step
+loop survives in the tests as the oracle this equivalence is checked
+against.
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+from repro.core.dp import validate_instance
 
 __all__ = ["sttw_partition"]
 
@@ -28,27 +40,20 @@ def sttw_partition(costs: Sequence[np.ndarray], budget: int) -> np.ndarray:
     Each step gives one unit to the program whose cost drops the most for
     that unit (Eq. 14 with the access-fraction weights already folded into
     the cost curves, which are miss *counts*).  Ties go to the
-    lowest-index program; exhausted programs (at grid end) are skipped.
+    lowest-index program.  The curves must be finite: an ``+inf`` size
+    (an SLO or baseline mask) has no marginal gain the greedy could rank.
 
-    O(P · C) time with a per-step argmax over P programs.
+    O(P · C log(P · C)) time: one stable sort of all P · C unit gains.
     """
-    curves = [np.ascontiguousarray(c, dtype=np.float64) for c in costs]
-    size = curves[0].size
-    if any(c.size != size for c in curves):
-        raise ValueError("all cost curves must have equal length")
-    if not 0 <= budget < size:
-        raise ValueError(f"budget must be within the curves' grid [0, {size - 1}]")
-    n_prog = len(curves)
-    # marginal gain of the next unit for program i at allocation c:
-    #   gains[i][c] = cost_i(c) - cost_i(c + 1)
-    gains = [c[:-1] - c[1:] for c in curves]
-    alloc = np.zeros(n_prog, dtype=np.int64)
-    current = np.array([g[0] if g.size else -np.inf for g in gains], dtype=np.float64)
-    for _ in range(budget):
-        i = int(np.argmax(current))
-        if not np.isfinite(current[i]):
-            break  # every program fully grown; leftover units stay unused
-        alloc[i] += 1
-        c = alloc[i]
-        current[i] = gains[i][c] if c < gains[i].size else -np.inf
-    return alloc
+    validate_instance(costs, budget)
+    curves = np.array([np.asarray(c, dtype=np.float64) for c in costs])
+    if not np.isfinite(curves).all():
+        raise ValueError("STTW needs finite cost curves; got +inf, -inf or NaN")
+    # gains[i, c]: cost drop of program i's unit c + 1; a unit ranks by
+    # the smallest gain of that program's units up to and including it
+    gains = curves[:, :-1] - curves[:, 1:]
+    rank = np.minimum.accumulate(gains, axis=1).ravel()
+    # row-major order is (program, position), so a stable sort on the
+    # negated rank alone breaks its ties exactly as the greedy does
+    picks = np.argsort(-rank, kind="stable")[:budget] // gains.shape[1]
+    return np.bincount(picks, minlength=len(costs)).astype(np.int64)

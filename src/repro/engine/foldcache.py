@@ -8,10 +8,17 @@ subsumes both:
 
 * :meth:`convolve` memoizes a single pair fold ``a ⊕ b`` — keyed either
   by an explicit caller token (cheap, for curves with a stable identity,
-  e.g. "suite program i's cost curve") or by a content fingerprint;
+  e.g. "suite program i's cost curve") or by a content fingerprint.
+  Only full curves that are read again belong here: the sweep's
+  per-group final stage is read at one budget, so it is a point query
+  (:func:`repro.core.minplus.convolve_at`) and never a cache entry;
 * :meth:`solve` memoizes a complete partitioning DP
   (:func:`repro.core.dp.optimal_partition`) on quantized cost
-  fingerprints, exactly as the online solver cache always did.
+  fingerprints, exactly as the online solver cache always did.  A cold
+  solve runs the prefix-trimmed, point-queried DP; the warm path
+  (``warm=True``) keeps full-grid stages, because its stage reuse, the
+  flight journal's ``stages_*`` counts and its budget-only re-solve
+  (DESIGN §13) all read them.
 
 Invariants:
 
@@ -19,9 +26,8 @@ Invariants:
   landed in the bucket — bit-identical replay for exact keys
   (``quantum=0`` or token keys), and within ``P · C · quantum`` of
   optimal for quantized colliders;
-* entries are LRU-evicted beyond ``max_entries``; hot entries (pair
-  curves touched every group of a sweep) therefore survive the stream
-  of one-shot entries (per-group final folds);
+* entries are LRU-evicted beyond ``max_entries``, so the hot pair
+  curves of a sweep survive a stream of one-shot solves;
 * ``hits``/``misses`` count every lookup, across both entry kinds, so
   one hit-rate describes the whole engine's memoization.
 
@@ -366,9 +372,8 @@ class FoldCache:
             prefixes=prefixes,
             splits=list(fold.splits),
         )
-        allocation = fold.allocate(budget)
         result = PartitionResult(
-            allocation=allocation, total_cost=fold.cost(budget), fold=fold
+            allocation=fold.allocate(budget), total_cost=fold.cost(budget)
         )
         self[key] = result
         return result

@@ -17,7 +17,10 @@ combined curves are shared across all 1820 groups (a ~3x saving measured
 by ``benchmarks/bench_cost.py``).  The engine's
 :class:`~repro.engine.foldcache.FoldCache` carries them, keyed by
 program identity via the sweep's :class:`~repro.engine.solver.SweepShared`
-suite-curve bundle.
+suite-curve bundle.  A group reads its final ``(a⊕b)⊕(c⊕d)`` stage at
+one budget only, so that stage is a point query rather than a full fold;
+likewise the natural-baseline DP folds on its slack after trimming the
+infeasible sizes, and STTW is one sort instead of ``n_units`` greedy steps.
 
 Groups are independent, so the sweep parallelizes: set
 ``ExperimentConfig.n_jobs`` (or ``run_study(..., n_jobs=...)``, or

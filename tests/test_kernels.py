@@ -26,7 +26,7 @@ from repro.core.kernels import (
     register_kernel_metric,
     set_kernel,
 )
-from repro.core.minplus import fold_curves
+from repro.core.minplus import convolve_at, fold_curves
 
 BACKENDS = kernel_names()
 
@@ -93,6 +93,11 @@ def test_convolve_validates_shapes():
         convolve(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError, match="1-D"):
         convolve(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="equal length"):
+        convolve_at(np.zeros(3), np.zeros(4), 0)
+    for k in (-1, 3):  # a negative k would silently read b reversed whole
+        with pytest.raises(ValueError, match="k must be"):
+            convolve_at(np.zeros(3), np.zeros(3), k)
 
 
 def test_minplus_convolve_is_pinned_to_reference():
@@ -131,13 +136,22 @@ def test_kernel_backend_info_metric():
 )
 @settings(max_examples=60, deadline=None)
 def test_backend_bit_exact_vs_oracle(backend, size, seed, inf_fraction, tie_quantum):
-    """Satellite (d): byte-identical totals AND argmin tie-breaks."""
+    """Byte-identical totals AND argmin tie-breaks, cell by cell too.
+
+    The point query ``convolve_at`` must return the same cell as the
+    full convolution for every ``k`` — all-``+inf`` cells (split 0) and
+    tie-heavy cells included — since callers swap one for the other.
+    """
     rng = np.random.default_rng(seed)
     a, b = _random_instance(rng, size, inf_fraction, tie_quantum)
     want_out, want_split = oracle_convolve(a, b)
     got_out, got_split = get_kernel(backend)(a, b)
     assert got_out.tobytes() == want_out.tobytes(), backend
     assert got_split.tobytes() == want_split.tobytes(), backend
+    for k in range(size):
+        value, split = convolve_at(a, b, k)
+        assert np.float64(value).tobytes() == want_out[k].tobytes(), k
+        assert split == want_split[k], k
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -210,6 +210,36 @@ def test_run_study_under_explicit_default_policy_is_bit_exact(mini_profile, mini
     assert result.allocations.tobytes() == mini_study.allocations.tobytes()
 
 
+def test_sttw_runs_unmasked_under_a_binding_slo_cap(mini_profile, mini_study):
+    """STTW, like ``natural``, is a scheme the policy cannot steer.
+
+    Regression: the cap masked mcf's small sizes to ``+inf``, the first
+    gain came out ``inf - inf = NaN`` and STTW allocated nothing — group
+    miss ratio 1.0 — in every group containing mcf.
+    """
+    from repro.engine import GroupSolver
+    from repro.experiments.methodology import run_study
+
+    cfg = mini_profile.config
+    mcf = mini_profile.names.index("mcf")
+    caps = [None] * len(mini_profile.names)
+    caps[mcf] = 0.3  # binding: mcf's miss ratio exceeds it below 8 units
+    capped = ObjectivePolicy(slo_caps=tuple(caps))
+    result = run_study(mini_profile, schemes=("sttw",), policy=capped)
+    assert np.all(result.allocations[:, :, 0].sum(axis=1) == cfg.n_units)
+    s = mini_study.scheme_index("sttw")
+    assert result.program_mr[:, :, 0].tobytes() == mini_study.program_mr[:, :, s].tobytes()
+
+    members = (0, mcf, 2, 3)
+    solver = GroupSolver(cfg.n_units, cfg.unit_blocks, schemes=("sttw",), policy=capped)
+    outcome = solver.evaluate(
+        [mini_profile.mrcs[i] for i in members],
+        [mini_profile.footprints[i] for i in members],
+        members=members,
+    ).outcomes["sttw"]
+    assert outcome.slo_headroom == (None, 0.3 - outcome.miss_ratios[1], None, None)
+
+
 def test_sweep_rejects_policy_mismatched_shared_bundle():
     from repro.engine import GroupSolver, SweepShared
 
