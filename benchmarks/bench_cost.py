@@ -21,7 +21,7 @@ import pytest
 from repro.composition.corun import CorunSolver
 from repro.core.baselines import equal_baseline_partition
 from repro.core.dp import optimal_partition
-from repro.core.kernels import active_kernel, convolve, get_kernel, kernel_names
+from repro.core.kernels import convolve
 from repro.core.sttw import sttw_partition
 from repro.perf import record_metric
 
@@ -33,42 +33,10 @@ def group_costs(suite_profile):
 
 
 def bench_minplus_convolve(group_costs, benchmark):
-    """One registry-dispatched convolution (honors REPRO_KERNEL, so the
-    CI per-backend loop times each backend on the same workload pair)."""
+    """One min-plus convolution of a workload pair at the active grid."""
     a, b = group_costs[0], group_costs[1]
     out, _ = benchmark(convolve, a, b)
     assert out.shape == a.shape
-
-
-def bench_kernel_backends(group_costs, benchmark):
-    """Every registered backend on the workload pair: bit-exact, timed."""
-    import time
-
-    a, b = group_costs[0], group_costs[1]
-    want_out, want_split = get_kernel("oracle")(a, b)
-
-    def sweep():
-        walls = {}
-        for name in kernel_names():
-            fn = get_kernel(name)
-            t0 = time.perf_counter()
-            out, split = fn(a, b)
-            walls[name] = time.perf_counter() - t0
-            assert out.tobytes() == want_out.tobytes(), name
-            assert split.tobytes() == want_split.tobytes(), name
-        return walls
-
-    walls = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print(f"\n{'backend':>10s} {'wall':>10s}  (active: {active_kernel()})")
-    for name, wall in walls.items():
-        print(f"{name:>10s} {wall * 1e3:8.2f}ms")
-    # reference and blocked are always registered; the speedup of the
-    # tiled kernel over the per-row reference is the metric that matters
-    record_metric(
-        "kernel_blocked_speedup_vs_reference",
-        walls["reference"] / walls["blocked"],
-        direction="higher", noisy=True,
-    )
 
 
 def bench_optimal_partition_per_group(group_costs, suite_profile, benchmark):

@@ -4,14 +4,14 @@ The repo's guarantees (bit-exact sweep replay, the ``repro.engine``
 facade, policy-salted memo keys, monotonic-clock latency, Prometheus
 naming, picklable pool workers) are invariants no off-the-shelf linter
 can know about.  This package encodes each one as a rule
-(``RL001``–``RL014``): the syntactic catalog runs on single-file AST
-walks, and the flow rules (RL012–RL014) run on top of a whole-program
-import graph (:mod:`repro.analysis.graph`) and an intraprocedural taint
-dataflow (:mod:`repro.analysis.dataflow`).  An incremental cache
-(:mod:`repro.analysis.cache`) memoizes per-file findings by content and
-dependency hashes, and ``repro-cps lint`` surfaces the whole thing with
-text/JSON/SARIF reporters, ``--jobs`` fan-out, and ``--changed`` diff
-scoping.
+(``RL001``–``RL014``, RL009 retired): the syntactic catalog runs on
+single-file AST walks, and the flow rules (RL012–RL014) run on top of a
+whole-program import graph (:mod:`repro.analysis.graph`) and an
+intraprocedural taint dataflow (:mod:`repro.analysis.dataflow`).  An
+incremental cache (:mod:`repro.analysis.cache`) memoizes per-file
+findings by content and dependency hashes, and ``repro-cps lint``
+surfaces the whole thing with text/JSON/SARIF reporters, ``--jobs``
+fan-out, and ``--changed`` diff scoping.
 
 Typical use::
 
@@ -29,7 +29,7 @@ are the registration side effect, the same pattern
 from __future__ import annotations
 
 from repro.analysis import flowrules as _flowrules  # noqa: F401  (registers RL012–RL014)
-from repro.analysis import rules as _rules  # noqa: F401  (registers RL001–RL011)
+from repro.analysis import rules as _rules  # noqa: F401  (registers RL001–RL008, RL010–RL011)
 from repro.analysis.cache import DEFAULT_CACHE_PATH, LintCache, catalog_fingerprint
 from repro.analysis.dataflow import ModuleDataflow
 from repro.analysis.engine import (

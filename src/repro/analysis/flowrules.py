@@ -27,7 +27,7 @@ RL012 falls back to names: a receiver matching ``*cache`` or a class
 named like the cache classes is treated as one.  The fallback errs
 strict — the suppression comment and the rule's domain scoping are the
 escape hatches, and ``repro/core`` (which owns the raw solve layers the
-policy compiler is built on, cf. RL009/RL010) is exempt wholesale.
+policy compiler is built on, cf. RL010) is exempt wholesale.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The syntactic project-contract rules (RL001–RL011).
+"""The syntactic project-contract rules (RL001–RL008, RL010–RL011).
 
 Each rule encodes an invariant the repo's correctness or operability
 story depends on — none of them is a style preference, and none is
@@ -14,17 +14,15 @@ RL005  prom-naming           ``repro_`` prefix + unit suffixes on /metrics
 RL006  span-context-manager  spans must close even on the exception path
 RL007  no-assert-validation  asserts vanish under ``python -O``
 RL008  picklable-pool-worker sweep workers must pickle and stay functional
-RL009  kernel-registry       min-plus convolutions go through the backend
-                             registry, not the pinned reference kernel
 RL010  policy-integrity      cost curves are compiled from ObjectivePolicy,
                              not hand-assembled from the raw constructors
 RL011  flight-integrity      decision events go through the flight-recorder
                              facade, never hand-built ``FlightEvent`` objects
 =====  ====================  ==================================================
 
-The whole-program *flow* rules (RL012–RL014) live in
-:mod:`repro.analysis.flowrules`; they build on the import graph and the
-taint dataflow rather than on single-node syntax.
+RL009 is retired; its ID is not reused.  The whole-program *flow* rules
+(RL012–RL014) live in :mod:`repro.analysis.flowrules`; they build on the
+import graph and the taint dataflow rather than on single-node syntax.
 
 All checks are static (stdlib :mod:`ast`, no imports of the linted
 code), so the linter can run on a broken checkout and never executes
@@ -34,10 +32,10 @@ reading wins and the inline suppression comment is the escape hatch.
 Every rule declares the file ``domains`` it patrols (see
 :data:`repro.analysis.registry.CATEGORIES`).  Tests probe internals and
 construct counterexamples on purpose — a test that feeds a bad metric
-name to the registry, or imports the pinned kernel to golden-pin it, is
-doing its job — so contracts about shipped code scope themselves to the
-library (plus, where it makes sense, benchmarks and scripts) instead of
-firing on the probes.
+name to the registry, or imports the raw cost constructors to pin the
+policy compiler bit-exact, is doing its job — so contracts about shipped
+code scope themselves to the library (plus, where it makes sense,
+benchmarks and scripts) instead of firing on the probes.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ __all__ = [
     "SpanContextManagerRule",
     "AssertValidationRule",
     "PoolWorkerRule",
-    "KernelRegistryRule",
     "PolicyIntegrityRule",
     "FlightIntegrityRule",
 ]
@@ -658,62 +655,6 @@ class PoolWorkerRule(Rule):
             ) or is_pool_ctor(func.value)
             if receiver_is_pool and node.args:
                 self._check_worker(node.args[0], ctx, module_defs, imported)
-
-
-# ---------------------------------------------------------------------------
-# RL009 — min-plus convolutions go through the kernel registry
-# ---------------------------------------------------------------------------
-
-
-@register_rule
-class KernelRegistryRule(Rule):
-    """``minplus_convolve`` is the pinned reference, not the dispatcher.
-
-    :func:`repro.core.kernels.convolve` dispatches to whichever backend
-    ``REPRO_KERNEL`` / ``repro-cps --kernel`` selected; the historical
-    :func:`~repro.core.kernels.minplus_convolve` name always runs the
-    ``reference`` backend.  Production code importing the pinned name
-    silently opts out of the selection (and of every faster backend), so
-    outside ``repro/core`` — where the registry itself lives — only the
-    dispatcher may be imported.  Golden tests that *want* the pinned
-    kernel import it under ``tests/``, which repro-lint does not cover.
-    """
-
-    id = "RL009"
-    name = "kernel-registry"
-    contract = "outside repro/core, convolve via the kernel registry"
-    node_types = (ast.Import, ast.ImportFrom)
-    # golden tests pin the reference kernel by importing it directly
-    domains = frozenset({"library", "benchmarks", "scripts"})
-
-    _SOURCES: ClassVar[frozenset[str]] = frozenset(
-        {"repro.core", "repro.core.minplus", "repro.core.kernels"}
-    )
-
-    def check(self, node: ast.AST, ctx: FileContext) -> None:
-        if ctx.in_subpackage("core"):
-            return
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in ("repro.core.minplus", "repro.core.kernels"):
-                    ctx.report(
-                        node, self,
-                        f"deep import of {alias.name} reaches past the kernel "
-                        "registry; use repro.core.kernels.convolve via "
-                        "'from repro.core.kernels import convolve'",
-                    )
-            return
-        if not isinstance(node, ast.ImportFrom) or node.module not in self._SOURCES:
-            return
-        for alias in node.names:
-            if alias.name == "minplus_convolve":
-                ctx.report(
-                    node, self,
-                    "minplus_convolve is the pinned reference kernel and "
-                    "bypasses REPRO_KERNEL / --kernel selection; call "
-                    "repro.core.kernels.convolve (the registry dispatcher) "
-                    "instead",
-                )
 
 
 # ---------------------------------------------------------------------------

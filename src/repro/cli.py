@@ -23,17 +23,13 @@ Subcommands mirror the paper's workflow:
   stream headless and prints one machine-readable snapshot;
 * ``lint``        — repro-lint, the project's own static contract
   checker (:mod:`repro.analysis`): determinism, engine-facade,
-  telemetry, and robustness invariants as ``RL001``–``RL011``;
+  telemetry, and robustness invariants (``lint --list-rules``);
 * ``bench``       — the perf subsystem (:mod:`repro.perf`):
   ``bench list`` shows the discovered suite, ``bench run`` executes a
   tier under the isolated-subprocess runner and persists
   ``BENCH_<area>.json`` trajectories, ``bench compare`` is the
   direction-aware regression gate, ``bench report`` renders the
   markdown trajectory table.
-
-The global ``--kernel <name>`` flag selects the min-plus kernel backend
-(:mod:`repro.core.kernels`) for the invocation, overriding the
-``REPRO_KERNEL`` environment variable.
 """
 
 from __future__ import annotations
@@ -771,11 +767,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-cps",
         description="Optimal Cache Partition-Sharing (ICPP 2015) reproduction",
     )
-    parser.add_argument(
-        "--kernel", default=None, metavar="NAME",
-        help="min-plus kernel backend for this invocation "
-             "(overrides REPRO_KERNEL; see repro.core.kernels)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("searchspace", help="§II solution-space sizes")
@@ -996,14 +987,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_profile)
 
     args = parser.parse_args(argv)
-    if args.kernel is not None:
-        from repro.core.kernels import set_kernel
-
-        try:
-            set_kernel(args.kernel)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     return args.func(args)
 
 

@@ -15,23 +15,8 @@ from repro.core.dp import (
 )
 from repro.core.dynamic import EpochPlan, plan_dynamic, plan_static, simulate_plan
 from repro.core.elastic import ElasticityPoint, elastic_partition, elasticity_sweep
-from repro.core.kernels import (
-    active_kernel,
-    convolve,
-    detect_kernel,
-    get_kernel,
-    kernel_names,
-    oracle_convolve,
-    register_kernel,
-    register_kernel_metric,
-    set_kernel,
-)
-from repro.core.minplus import (
-    MinPlusFold,
-    fold_curves,
-    fold_curves_stages,
-    minplus_convolve,
-)
+from repro.core.kernels import convolve, oracle_convolve
+from repro.core.minplus import MinPlusFold, fold_curves, fold_curves_stages
 from repro.core.multicache import (
     Assignment,
     greedy_assignment,
@@ -85,15 +70,8 @@ __all__ = [
     "cost_fingerprint",
     "curve_fingerprint",
     "optimal_partition",
-    "active_kernel",
     "convolve",
-    "detect_kernel",
-    "get_kernel",
-    "kernel_names",
     "oracle_convolve",
-    "register_kernel",
-    "register_kernel_metric",
-    "set_kernel",
     "EpochPlan",
     "plan_dynamic",
     "plan_static",
@@ -104,7 +82,6 @@ __all__ = [
     "MinPlusFold",
     "fold_curves",
     "fold_curves_stages",
-    "minplus_convolve",
     "Assignment",
     "greedy_assignment",
     "group_shared_cost",

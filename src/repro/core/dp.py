@@ -112,17 +112,22 @@ def curve_fingerprint(curve: np.ndarray, *, quantum: float = 0.0) -> bytes:
 
 
 def validate_instance(costs: Sequence[np.ndarray], budget: int) -> int:
-    """Check one DP instance's shape contract; returns the grid size.
+    """Check one DP instance's contract; returns the grid size.
 
-    All curves equal length, ``budget`` within the grid — shared by
-    :func:`optimal_partition` and the engine's warm-start solver so the
-    two paths reject malformed instances identically.
+    All curves equal length, every cost finite or ``+inf`` (a NaN or
+    ``-inf`` would make the kernel's comparisons silently pick a wrong
+    split), ``budget`` within the grid — shared by
+    :func:`optimal_partition`, the engine's warm-start solver and STTW
+    so every path rejects malformed instances identically.
     """
     if not costs:
         raise ValueError("need at least one cost curve")
     size = int(np.asarray(costs[0]).size)
     if any(np.asarray(c).size != size for c in costs):
         raise ValueError("all cost curves must have equal length")
+    # one pass per curve: NaN > -inf is False, like -inf > -inf
+    if not all(bool(np.all(np.asarray(c) > -np.inf)) for c in costs):
+        raise ValueError("costs must be finite or +inf; got NaN or -inf")
     if not 0 <= budget < size:
         raise ValueError(f"budget must be within the curves' grid [0, {size - 1}]")
     return size

@@ -1,193 +1,50 @@
-"""Pluggable (min, +) convolution kernel backends.
+"""The (min, +) convolution kernel and its pure-Python oracle.
 
 The partitioning DP (Eq. 15/16) is a left fold of min-plus convolutions,
 and that convolution is the hot path of every scheme, sweep and online
-epoch.  This module is the registry of interchangeable implementations
-of the one kernel contract::
+epoch.  The kernel contract::
 
     out[k] = min_{i = 0..k} a[i] + b[k - i]
     split[k] = the smallest i realizing out[k]   (first-occurrence ties)
 
-Backends (registration order = catalog order):
-
-* ``reference`` — the pinned per-row NumPy kernel (one sliding-window
-  view of reversed-``b``, chunked over output rows).  Every other
-  backend is tested bit-exact against it *and* against the pure-Python
-  :func:`oracle_convolve`;
-* ``blocked``   — 2-D tiling of the candidate matrix: both the output
-  index ``k`` and the candidate index ``i`` are tiled, so the scratch is
-  bounded at ``tile²`` floats regardless of curve length and the working
-  tile stays cache-resident on long grids;
-* ``oracle``    — the pure-Python double loop.  O(C²) interpreted —
-  registered so the parity tests and the CI backend matrix can select it
-  like any other backend, but never auto-detected;
-* ``numba``     — an optional JIT of the double loop, registered only
-  when :mod:`numba` is importable (the dependency is *not* declared;
-  the backend simply appears when the host happens to have it).
-
-Selection: the active backend is resolved once at import from the
-``REPRO_KERNEL`` environment variable (unknown names raise), falling
-back to auto-detection (``numba`` when available, else ``blocked``).
-``repro-cps --kernel <name>`` and :func:`set_kernel` re-select at
-runtime; :func:`register_kernel_metric` exposes the active name as the
-``repro_kernel_backend_info`` gauge.
-
-The bit-exactness contract every backend must honour (pinned by
-``tests/test_kernels.py``): byte-identical ``out`` values **and**
-byte-identical ``split`` tie-breaks versus :func:`oracle_convolve`,
-including ``+inf`` constraint entries (an all-infeasible output cell
-reports ``split == 0``).  The contract is what lets the FoldCache treat
-results from different backends as interchangeable cache entries.
+:func:`convolve` is the one production implementation: a 2-D tiling of
+the candidate matrix, so the scratch is bounded at ``tile²`` floats
+regardless of curve length and the working tile stays cache-resident on
+long grids.  :func:`oracle_convolve` is the interpreted double loop the
+tests hold it to: byte-identical ``out`` values **and** byte-identical
+``split`` tie-breaks, including ``+inf`` constraint entries (an
+all-infeasible output cell reports ``split == 0``), pinned by
+``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable
-
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.prom import Registry
+__all__ = ["active_kernel", "convolve", "oracle_convolve"]
 
-__all__ = [
-    "KernelFn",
-    "register_kernel",
-    "kernel_names",
-    "get_kernel",
-    "set_kernel",
-    "active_kernel",
-    "detect_kernel",
-    "convolve",
-    "minplus_convolve",
-    "oracle_convolve",
-    "register_kernel_metric",
-]
-
-#: A backend: two validated, contiguous, equal-length 1-D float64 curves
-#: in; ``(out, split)`` out, honouring the module's bit-exactness contract.
-KernelFn = Callable[[np.ndarray, np.ndarray], "tuple[np.ndarray, np.ndarray]"]
-
-_KERNELS: "OrderedDict[str, KernelFn]" = OrderedDict()
-_ACTIVE: str = ""
-
-#: Scratch budget of the reference kernel, in float64 cells.
-_REFERENCE_CHUNK_CELLS = 1 << 21
-#: Tile edge of the blocked kernel: 256² doubles = 512 KiB per tile pair.
+#: Tile edge: 256² doubles = 512 KiB per tile pair.
 _BLOCKED_TILE = 256
 
 
-def register_kernel(name: str) -> Callable[[KernelFn], KernelFn]:
-    """Class of decorator: add a backend to the catalog under ``name``.
-
-    Names must be unique — a duplicate silently shadowing the reference
-    backend would un-pin the parity tests.
-    """
-
-    def deco(fn: KernelFn) -> KernelFn:
-        if not name:
-            raise ValueError("kernel name must be non-empty")
-        if name in _KERNELS:
-            raise ValueError(f"kernel {name!r} is already registered")
-        _KERNELS[name] = fn
-        return fn
-
-    return deco
-
-
-def kernel_names() -> tuple[str, ...]:
-    """Every registered backend name, in registration (= catalog) order."""
-    return tuple(_KERNELS)
-
-
-def get_kernel(name: str) -> KernelFn:
-    """Look up one backend; unknown names raise ``ValueError``."""
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; registered: {', '.join(_KERNELS)}"
-        ) from None
-
-
-def set_kernel(name: str) -> str:
-    """Select the active backend; returns the previously active name."""
-    global _ACTIVE
-    get_kernel(name)  # validate before switching
-    previous = _ACTIVE
-    _ACTIVE = name
-    return previous
-
-
+# Kept because benchmarks/e2e/harness.py records it in its environment line.
 def active_kernel() -> str:
-    """The name of the backend :func:`convolve` currently dispatches to."""
-    return _ACTIVE
-
-
-def detect_kernel(env: str | None = None) -> str:
-    """Resolve the backend for an environment value (``REPRO_KERNEL``).
-
-    An explicit name must be registered (unknown names raise, loudly —
-    a typo'd ``REPRO_KERNEL`` must not silently fall back to a slower
-    backend).  With no explicit choice: ``numba`` when its import
-    succeeded, else ``blocked``.
-    """
-    if env:
-        get_kernel(env)
-        return env
-    if "numba" in _KERNELS:
-        return "numba"
+    """The name of the one kernel :func:`convolve` runs."""
     return "blocked"
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min-plus convolution through the active backend.
+    """Min-plus convolution of two equal-length cost curves.
 
-    The public kernel entry point: validates the operands once, then
-    dispatches to whatever :func:`active_kernel` names.  Returns
-    ``(out, split)`` where ``split[k]`` is the budget given to ``a`` in
-    the optimal split of ``k`` (ties resolved to the smallest
+    Returns ``(out, split)`` where ``split[k]`` is the budget given to
+    ``a`` in the optimal split of ``k`` (ties resolved to the smallest
     ``a``-share, matching ``argmin``'s first-occurrence rule).
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("cost curves must be 1-D and of equal length")
-    return _KERNELS[_ACTIVE](a, b)
-
-
-# ---------------------------------------------------------------------------
-# reference — the pinned per-row NumPy kernel
-# ---------------------------------------------------------------------------
-
-
-@register_kernel("reference")
-def _reference_convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """O(C²) work, vectorized per output row, O(chunk · C) scratch.
-
-    Row ``k`` of the cost matrix is ``a[i] + b[k-i]``; all rows come
-    from one sliding-window view of reversed-``b`` padded with ``+inf``
-    (the ``i > k`` cells), processed in chunks to bound the scratch.
-    """
-    n = a.size
-    out = np.empty(n, dtype=np.float64)
-    split = np.empty(n, dtype=np.int64)
-    padded = np.concatenate([b[::-1], np.full(n - 1, np.inf)]) if n > 1 else b[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n)
-    chunk = max(1, _REFERENCE_CHUNK_CELLS // max(n, 1))
-    for start in range(0, n, chunk):
-        ks = np.arange(start, min(start + chunk, n))
-        rows = windows[n - 1 - ks] + a[None, :]
-        idx = np.argmin(rows, axis=1)
-        split[ks] = idx
-        out[ks] = rows[np.arange(ks.size), idx]
-    return out, split
-
-
-# ---------------------------------------------------------------------------
-# blocked — 2-D tiled candidate matrices with bounded scratch
-# ---------------------------------------------------------------------------
+    return _blocked_convolve_impl(a, b, tile=_BLOCKED_TILE)
 
 
 def _blocked_convolve_impl(
@@ -195,11 +52,12 @@ def _blocked_convolve_impl(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tile both the output index and the candidate index.
 
-    For an ``i``-tile ``[i0, i1)`` the candidate values of output ``k``
-    are ``a[i] + b[k-i]`` — the same sliding-window view the reference
-    kernel uses, sliced to the tile's columns.  Each tile contributes a
-    per-output partial ``(min, argmin)``; merging ascending ``i``-tiles
-    with a strict ``<`` preserves the global first-occurrence tie-break
+    Row ``k`` of the cost matrix is ``a[i] + b[k-i]``; all rows come
+    from one sliding-window view of reversed-``b`` padded with ``+inf``
+    (the ``i > k`` cells).  For an ``i``-tile ``[i0, i1)`` the view is
+    sliced to the tile's columns.  Each tile contributes a per-output
+    partial ``(min, argmin)``; merging ascending ``i``-tiles with a
+    strict ``<`` preserves the global first-occurrence tie-break
     exactly.  Scratch is bounded at ``tile²`` cells however long the
     curves are, so the working pair of tiles stays cache-resident.
     """
@@ -227,22 +85,11 @@ def _blocked_convolve_impl(
     return out, split
 
 
-@register_kernel("blocked")
-def _blocked_convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _blocked_convolve_impl(a, b, tile=_BLOCKED_TILE)
-
-
-# ---------------------------------------------------------------------------
-# oracle — the pure-Python double loop (the parity tests' ground truth)
-# ---------------------------------------------------------------------------
-
-
-@register_kernel("oracle")
 def oracle_convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interpreted, dependency-free ground truth for the kernel contract.
 
     Python floats are IEEE doubles, so ``a[i] + b[k-i]`` here is the
-    same bit pattern every vectorized backend produces — making
+    same bit pattern the vectorized kernel produces — making
     byte-identical comparison meaningful, not merely approximate.
     """
     n = a.size
@@ -261,79 +108,3 @@ def oracle_convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
         out[k] = best
         split[k] = arg
     return out, split
-
-
-# ---------------------------------------------------------------------------
-# numba — optional JIT backend, registered only when importable
-# ---------------------------------------------------------------------------
-
-
-def _try_register_numba() -> None:
-    try:
-        from numba import njit  # type: ignore[import-not-found]
-    except Exception:  # pragma: no cover - host-dependent
-        return
-
-    @njit(cache=True)  # pragma: no cover - exercised only where numba exists
-    def _numba_loop(a, b, out, split):  # type: ignore[no-untyped-def]
-        n = a.size
-        for k in range(n):
-            best = np.inf
-            arg = 0
-            for i in range(k + 1):
-                v = a[i] + b[k - i]
-                if v < best:
-                    best = v
-                    arg = i
-            out[k] = best
-            split[k] = arg
-
-    def _numba_convolve(  # pragma: no cover - host-dependent
-        a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        out = np.empty(a.size, dtype=np.float64)
-        split = np.empty(a.size, dtype=np.int64)
-        _numba_loop(a, b, out, split)
-        return out, split
-
-    register_kernel("numba")(_numba_convolve)
-
-
-_try_register_numba()
-_ACTIVE = detect_kernel(os.environ.get("REPRO_KERNEL"))
-
-
-#: The pinned reference kernel under its historical name.  Importing it
-#: directly bypasses the registry (and therefore ``REPRO_KERNEL`` /
-#: ``--kernel``): production code should call :func:`convolve` instead —
-#: repro-lint's RL009 enforces exactly that outside ``repro/core``.
-def minplus_convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min-plus convolution on the pinned ``reference`` backend.
-
-    Validates like :func:`convolve` but always runs the reference
-    kernel, whatever backend is active — the stable ground for golden
-    tests and for callers that must not vary with ``REPRO_KERNEL``.
-    """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("cost curves must be 1-D and of equal length")
-    return _reference_convolve(a, b)
-
-
-def register_kernel_metric(
-    registry: "Registry", *, prefix: str = "repro"
-) -> "Registry":
-    """Expose the active backend as ``<prefix>_kernel_backend_info``.
-
-    The Prometheus info-metric idiom: a gauge pinned at 1 whose
-    ``backend`` label carries the name, read at scrape time so a
-    runtime :func:`set_kernel` shows up on the next scrape.  Returns
-    the registry for chaining.
-    """
-    registry.gauge(
-        f"{prefix}_kernel_backend_info",
-        "Active min-plus kernel backend (constant 1; name in the label).",
-        labelnames=("backend",),
-    ).set_function(lambda: {active_kernel(): 1})
-    return registry

@@ -12,12 +12,8 @@ A caller that reads a fold at one budget only runs its last stage as the
 point query :func:`convolve_at` — one output cell in O(k) instead of the
 whole O(C²) convolution.
 
-The convolution itself lives in :mod:`repro.core.kernels` — a registry
-of interchangeable, bit-exact backends selected via ``REPRO_KERNEL`` /
-``repro-cps --kernel``.  :func:`fold_curves` dispatches through the
-active backend; the re-exported :func:`minplus_convolve` is the pinned
-``reference`` kernel for callers that must not vary with the selection
-(tests, goldens — repro-lint RL009 keeps it out of production paths).
+The convolution itself is :func:`repro.core.kernels.convolve`, one tiled
+kernel held byte for byte to the pure-Python oracle by the tests.
 
 Costs are ``float64``; ``+inf`` marks infeasible sizes (used by the
 baseline-constrained optimization, §VI) and propagates correctly.
@@ -30,10 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.kernels import convolve, minplus_convolve
+from repro.core.kernels import convolve
 
 __all__ = [
-    "minplus_convolve",
     "convolve_at",
     "MinPlusFold",
     "fold_curves",
@@ -46,7 +41,7 @@ def convolve_at(a: np.ndarray, b: np.ndarray, k: int) -> tuple[float, int]:
 
     The point query ``argmin(a[:k+1] + b[k::-1])`` performs exactly the
     float additions the kernel performs for output ``k``, in the same
-    candidate order, so it returns every backend's ``out[k]`` and
+    candidate order, so it returns the kernel's ``out[k]`` and
     first-occurrence ``split[k]`` byte for byte — an all-``+inf`` cell
     reports split 0 (the :mod:`repro.core.kernels` contract).  O(k) work
     instead of the full convolution's O(C²).
@@ -101,8 +96,8 @@ def fold_curves(costs: Sequence[np.ndarray]) -> MinPlusFold:
 
     Stage ``j`` adds program ``j + 1`` to the running optimum of the first
     ``j + 1`` programs — exactly the paper's recurrence; total time
-    O(P · C²), space O(P · C).  Convolutions run on the active kernel
-    backend (:mod:`repro.core.kernels`).
+    O(P · C²), space O(P · C).  Convolutions run on
+    :func:`repro.core.kernels.convolve`.
     """
     fold, _ = fold_curves_stages(costs)
     return fold

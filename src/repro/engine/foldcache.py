@@ -224,7 +224,7 @@ class FoldCache:
         *,
         key: Hashable | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Memoized :func:`repro.core.kernels.convolve` (active backend).
+        """Memoized :func:`repro.core.kernels.convolve`.
 
         With an explicit ``key`` the caller asserts that the curve pair's
         contents are stable for that token over the cache's lifetime (the

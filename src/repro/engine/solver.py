@@ -50,7 +50,6 @@ from repro.core.baselines import (
     natural_baseline_partition,
 )
 from repro.core.dp import optimal_partition
-from repro.core.kernels import active_kernel
 from repro.core.minplus import convolve_at
 from repro.core.natural import natural_partition_units, round_to_units
 from repro.core.policy import (
@@ -439,7 +438,6 @@ class GroupSolver:
         with self.tracer.span(
             "solver.evaluate",
             group=list(members) if members is not None else [m.name for m in mrcs],
-            kernel=active_kernel(),
         ):
             outcomes: dict[str, SchemeOutcome] = {}
             for s in self.schemes:

@@ -55,7 +55,8 @@ class MissRatioCurve:
         arr = np.ascontiguousarray(self.ratios, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("ratios must be a 1-D array over sizes 0..capacity")
-        if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
+        # written so that NaN, which fails every comparison, fails the check
+        if not np.all((arr >= -1e-12) & (arr <= 1 + 1e-12)):
             raise ValueError("miss ratios must lie in [0, 1]")
         if self.n_accesses <= 0:
             raise ValueError("n_accesses must be positive")

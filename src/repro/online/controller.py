@@ -60,7 +60,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.dynamic import EpochPlan
-from repro.core.kernels import register_kernel_metric
 from repro.core.policy import (
     DEFAULT_POLICY,
     InfeasibleSLOError,
@@ -319,13 +318,12 @@ class OnlineController:
 
         Binds the :class:`~repro.online.metrics.OnlineMetrics` counters
         (including the resolve-latency histogram), the solver cache's
-        hit/miss/eviction counters, the active kernel-backend info gauge,
-        and a per-tenant allocation gauge.  Returns the registry for
-        chaining.
+        hit/miss/eviction counters, the burn-rate alert families when
+        alerting is on, and a per-tenant allocation gauge.  Returns the
+        registry for chaining.
         """
         self.metrics.register_with(registry, prefix=prefix)
         self.solver_cache.register_with(registry, prefix=f"{prefix}_solver_cache")
-        register_kernel_metric(registry, prefix=prefix)
         if self.alerts is not None:
             self.alerts.register_with(registry, prefix=prefix)
         registry.gauge(

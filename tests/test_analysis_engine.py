@@ -30,7 +30,6 @@ CATALOG = (
     "RL006",
     "RL007",
     "RL008",
-    "RL009",
     "RL010",
     "RL011",
     "RL012",

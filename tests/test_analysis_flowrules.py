@@ -19,7 +19,7 @@ CORE = "src/repro/core/mod.py"
 TESTS = "tests/test_mod.py"
 BENCH = "benchmarks/bench_mod.py"
 
-OLD_CATALOG = resolve_rules([f"RL{i:03d}" for i in range(1, 12)])
+OLD_CATALOG = resolve_rules([f"RL{i:03d}" for i in range(1, 12) if i != 9])
 
 BAD_UNSALTED_SOLVE = """
 from repro.engine import FoldCache
@@ -91,7 +91,7 @@ def test_rl012_checks_convolve_identity_keys():
 
 
 def test_rl012_is_scoped_out_of_core_and_defining_modules():
-    # core's dynamic oracle solves raw default-policy curves (cf. RL009/10)
+    # core's dynamic oracle solves raw default-policy curves (cf. RL010)
     assert lint(BAD_UNSALTED_SOLVE, path=CORE) == []
     defining = """
     class FoldCache:

@@ -55,7 +55,8 @@ def test_cli_self_check_exits_zero(capsys):
 
 
 def test_all_fourteen_rules_are_active():
-    assert len(rule_ids()) == 14
+    """RL001–RL014 with RL009 retired: thirteen rules, none reused."""
+    assert rule_ids() == tuple(f"RL{i:03d}" for i in range(1, 15) if i != 9)
 
 
 def test_mypy_strict_passes_on_typed_core():

@@ -108,6 +108,18 @@ def test_budget_validation():
         optimal_partition(costs, -1)
     with pytest.raises(ValueError):
         optimal_partition([np.zeros(5), np.zeros(4)], 3)
+    # NaN and -inf costs make the kernel's comparisons pick wrong splits
+    # silently: [b, a, c] solved to [0, 0, 3] at 9.0 although [0, 2, 1]
+    # costs 7.0, and [a, b, c] claimed no feasible allocation
+    b = np.array([4.0, 3.0, 2.0, 1.0])
+    c = np.array([3.0, 2.0, 1.0, 0.0])
+    for bad in (np.nan, -np.inf):
+        a = np.array([5.0, bad, 1.0, 0.5])
+        for order in ([b, a, c], [a, b, c]):
+            with pytest.raises(ValueError, match="finite"):
+                optimal_partition(order, 3)
+    # +inf is the constraint marker and stays legal
+    assert optimal_partition([np.array([np.inf, 1.0]), np.zeros(2)], 1).total_cost == 1.0
 
 
 def test_single_program_gets_everything():

@@ -1,11 +1,11 @@
-"""The kernel-backend contract: every backend is bit-exact vs the oracle.
+"""The kernel contract: :func:`convolve` is bit-exact vs the oracle.
 
 Bit-exact means byte-identical ``out`` values AND byte-identical
 ``split`` tie-breaks — including ``+inf`` constraint entries and
 tie-heavy plateaus, where an argmin that scans in a different order
 would still produce equal *values* but different *splits*.  The
-FoldCache treats results from different backends as interchangeable
-entries, which is only sound under this contract.
+tiled kernel merges per-tile partial minima, so the contract has to
+hold across tile boundaries too, at the paper's 1025-cell grid.
 """
 
 import numpy as np
@@ -14,21 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.kernels import (
-    active_kernel,
-    convolve,
-    detect_kernel,
-    get_kernel,
-    kernel_names,
-    minplus_convolve,
-    oracle_convolve,
-    register_kernel,
-    register_kernel_metric,
-    set_kernel,
-)
-from repro.core.minplus import convolve_at, fold_curves
-
-BACKENDS = kernel_names()
+from repro.core.kernels import convolve, oracle_convolve
+from repro.core.minplus import MinPlusFold, convolve_at, fold_curves
 
 
 def _random_instance(rng, size, inf_fraction, tie_quantum):
@@ -46,48 +33,6 @@ def _random_instance(rng, size, inf_fraction, tie_quantum):
     return a, b
 
 
-# --------------------------------------------------------------- registry
-def test_catalog_contains_the_builtin_backends():
-    names = kernel_names()
-    assert names[:3] == ("reference", "blocked", "oracle")
-    assert set(names) <= {"reference", "blocked", "oracle", "numba"}
-
-
-def test_get_kernel_unknown_name_raises():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        get_kernel("fft")  # famously NOT how min-plus works
-
-
-def test_register_kernel_rejects_duplicates_and_empty_names():
-    with pytest.raises(ValueError, match="already registered"):
-        register_kernel("reference")(oracle_convolve)
-    with pytest.raises(ValueError, match="non-empty"):
-        register_kernel("")(oracle_convolve)
-
-
-def test_set_kernel_switches_and_returns_previous():
-    before = active_kernel()
-    try:
-        prev = set_kernel("oracle")
-        assert prev == before
-        assert active_kernel() == "oracle"
-        with pytest.raises(ValueError):
-            set_kernel("not-a-kernel")
-        assert active_kernel() == "oracle"  # failed switch changes nothing
-    finally:
-        set_kernel(before)
-
-
-def test_detect_kernel_explicit_name_wins_and_typos_raise():
-    assert detect_kernel("reference") == "reference"
-    assert detect_kernel("oracle") == "oracle"
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        detect_kernel("refrence")  # a typo must not silently fall back
-    # auto-detection never picks the interpreted oracle
-    assert detect_kernel(None) in ("numba", "blocked")
-    assert detect_kernel("") in ("numba", "blocked")
-
-
 def test_convolve_validates_shapes():
     with pytest.raises(ValueError, match="equal length"):
         convolve(np.zeros(3), np.zeros(4))
@@ -100,34 +45,7 @@ def test_convolve_validates_shapes():
             convolve_at(np.zeros(3), np.zeros(3), k)
 
 
-def test_minplus_convolve_is_pinned_to_reference():
-    """The historical name must not follow the active-backend selection."""
-    a = np.array([3.0, 1.0, 0.5])
-    b = np.array([4.0, 2.0, 1.0])
-    before = active_kernel()
-    try:
-        set_kernel("oracle")
-        out, split = minplus_convolve(a, b)
-        ref_out, ref_split = get_kernel("reference")(a, b)
-        assert out.tobytes() == ref_out.tobytes()
-        assert split.tobytes() == ref_split.tobytes()
-    finally:
-        set_kernel(before)
-
-
-def test_kernel_backend_info_metric():
-    from repro.obs import Registry, parse_exposition
-
-    registry = register_kernel_metric(Registry())
-    families = parse_exposition(registry.render())
-    fam = families["repro_kernel_backend_info"]
-    assert fam["type"] == "gauge"
-    key = ("repro_kernel_backend_info", (("backend", active_kernel()),))
-    assert fam["samples"] == {key: 1.0}
-
-
 # ----------------------------------------------------------------- parity
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(
     st.integers(1, 48),
     st.integers(0, 10**9),
@@ -135,7 +53,7 @@ def test_kernel_backend_info_metric():
     st.sampled_from([0.0, 2.0, 8.0]),
 )
 @settings(max_examples=60, deadline=None)
-def test_backend_bit_exact_vs_oracle(backend, size, seed, inf_fraction, tie_quantum):
+def test_convolve_bit_exact_vs_oracle(size, seed, inf_fraction, tie_quantum):
     """Byte-identical totals AND argmin tie-breaks, cell by cell too.
 
     The point query ``convolve_at`` must return the same cell as the
@@ -145,31 +63,55 @@ def test_backend_bit_exact_vs_oracle(backend, size, seed, inf_fraction, tie_quan
     rng = np.random.default_rng(seed)
     a, b = _random_instance(rng, size, inf_fraction, tie_quantum)
     want_out, want_split = oracle_convolve(a, b)
-    got_out, got_split = get_kernel(backend)(a, b)
-    assert got_out.tobytes() == want_out.tobytes(), backend
-    assert got_split.tobytes() == want_split.tobytes(), backend
+    got_out, got_split = convolve(a, b)
+    assert got_out.tobytes() == want_out.tobytes()
+    assert got_split.tobytes() == want_split.tobytes()
     for k in range(size):
         value, split = convolve_at(a, b, k)
         assert np.float64(value).tobytes() == want_out[k].tobytes(), k
         assert split == want_split[k], k
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_all_inf_rows_report_split_zero(backend):
-    """An all-infeasible output cell reports split 0 in every backend."""
+def test_production_tile_at_the_paper_size():
+    """n = 1025: four full 256-wide tiles and a partial one, merged.
+
+    Ties come from a coarse value grid and ``+inf`` plateaus from masked
+    runs, including one straddling the 256/512 tile edges, so the strict
+    ``<`` merge across ascending tiles must keep the first occurrence.
+    """
+    n = 1025
+    rng = np.random.default_rng(1025)
+    a = np.round(rng.random(n) * 4, 0)
+    b = np.round(rng.random(n) * 4, 0)
+    a[:40] = np.inf  # an infeasible prefix: the early rows are all +inf
+    a[240:530] = np.inf  # a plateau across two tile edges
+    b[700:900] = np.inf
+    b[rng.random(n) < 0.1] = np.inf
+    want_out, want_split = oracle_convolve(a, b)
+    got_out, got_split = convolve(a, b)
+    assert got_out.tobytes() == want_out.tobytes()
+    assert got_split.tobytes() == want_split.tobytes()
+    assert np.isinf(want_out[:40]).all() and (want_split[:40] == 0).all()
+    for k in (0, 255, 256, 511, 1024):
+        value, split = convolve_at(a, b, k)
+        assert np.float64(value).tobytes() == want_out[k].tobytes(), k
+        assert split == want_split[k], k
+
+
+def test_all_inf_rows_report_split_zero():
+    """An all-infeasible output cell reports split 0."""
     a = np.array([np.inf, np.inf, np.inf])
     b = np.array([np.inf, 1.0, np.inf])
-    out, split = get_kernel(backend)(a, b)
+    out, split = convolve(a, b)
     assert np.all(np.isinf(out))
     assert split.tolist() == [0, 0, 0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_constant_curves_tie_everywhere(backend):
+def test_constant_curves_tie_everywhere():
     """Flat curves tie at every i; the split must always be 0."""
     a = np.full(16, 2.5)
     b = np.full(16, 2.5)
-    out, split = get_kernel(backend)(a, b)
+    out, split = convolve(a, b)
     assert np.all(out == 5.0)
     assert np.all(split == 0)
 
@@ -186,20 +128,19 @@ def test_blocked_kernel_tile_boundaries():
             assert got_split.tobytes() == want_split.tobytes(), (size, tile)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fold_curves_identical_under_every_backend(backend):
-    """The whole DP — totals, splits, allocation — is backend-invariant."""
+def test_fold_curves_matches_an_oracle_fold():
+    """The whole DP — totals, splits, allocation — equals a left fold of
+    :func:`oracle_convolve`, byte for byte."""
     rng = np.random.default_rng(23)
     costs = [np.round(rng.random(33) * 4, 1) for _ in range(5)]
     costs[2][5:] = np.inf  # a constraint plateau in the middle program
-    before = active_kernel()
-    try:
-        set_kernel("oracle")
-        want = fold_curves(costs)
-        set_kernel(backend)
-        got = fold_curves(costs)
-    finally:
-        set_kernel(before)
+    running = costs[0]
+    splits = []
+    for curve in costs[1:]:
+        running, split = oracle_convolve(running, curve)
+        splits.append(split)
+    want = MinPlusFold(total=running, splits=tuple(splits))
+    got = fold_curves(costs)
     assert got.total.tobytes() == want.total.tobytes()
     for gs, ws in zip(got.splits, want.splits):
         assert gs.tobytes() == ws.tobytes()

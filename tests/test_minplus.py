@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.minplus import fold_curves, minplus_convolve
+from repro.core.kernels import convolve
+from repro.core.minplus import fold_curves
 
 finite_curve = st.lists(
     st.floats(0, 100, allow_nan=False), min_size=1, max_size=24
@@ -40,7 +41,7 @@ def naive_minplus(a, b):
 @settings(max_examples=150)
 def test_matches_naive(ab):
     a, b = np.array(ab[0]), np.array(ab[1])
-    out, split = minplus_convolve(a, b)
+    out, split = convolve(a, b)
     ref_out, ref_split = naive_minplus(a, b)
     assert np.allclose(out, ref_out)
     assert np.array_equal(split, ref_split)
@@ -49,35 +50,35 @@ def test_matches_naive(ab):
 def test_handles_infinities():
     a = np.array([np.inf, 1.0, np.inf])
     b = np.array([5.0, np.inf, 2.0])
-    out, split = minplus_convolve(a, b)
+    out, split = convolve(a, b)
     assert out[0] == np.inf  # only a[0]+b[0] = inf
     assert out[1] == pytest.approx(6.0) and split[1] == 1  # a[1]+b[0]
     assert out[2] == np.inf  # every split blocked by an inf operand
-    all_inf, _ = minplus_convolve(np.full(3, np.inf), b)
+    all_inf, _ = convolve(np.full(3, np.inf), b)
     assert np.all(np.isinf(all_inf))
 
 
 def test_commutative_in_value():
     rng = np.random.default_rng(0)
     a, b = rng.random(20), rng.random(20)
-    out_ab, _ = minplus_convolve(a, b)
-    out_ba, _ = minplus_convolve(b, a)
+    out_ab, _ = convolve(a, b)
+    out_ba, _ = convolve(b, a)
     assert np.allclose(out_ab, out_ba)
 
 
 def test_associative_in_value():
     rng = np.random.default_rng(1)
     a, b, c = rng.random(15), rng.random(15), rng.random(15)
-    left, _ = minplus_convolve(*((minplus_convolve(a, b)[0], c)))
-    right, _ = minplus_convolve(a, minplus_convolve(b, c)[0])
+    left, _ = convolve(*((convolve(a, b)[0], c)))
+    right, _ = convolve(a, convolve(b, c)[0])
     assert np.allclose(left, right)
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        minplus_convolve(np.array([1.0, 2.0]), np.array([1.0]))
+        convolve(np.array([1.0, 2.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        minplus_convolve(np.ones((2, 2)), np.ones((2, 2)))
+        convolve(np.ones((2, 2)), np.ones((2, 2)))
 
 
 @given(st.integers(2, 5), st.integers(3, 16), st.integers(0, 1_000_000))

@@ -16,6 +16,9 @@ def test_validation():
         MissRatioCurve(np.array([0.5, 1.5]), n_accesses=10)  # out of range
     with pytest.raises(ValueError):
         MissRatioCurve(np.array([0.5, 0.4]), n_accesses=0)  # bad n
+    for bad in (np.nan, np.inf, -np.inf):  # NaN fails every comparison
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            MissRatioCurve(np.array([1.0, bad, 0.2]), n_accesses=10)
 
 
 def test_capacity_and_at():

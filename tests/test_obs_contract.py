@@ -62,7 +62,6 @@ EXPOSITION_FAMILIES = {
     "repro_solver_cache_entries": "gauge",
     # controller extras
     "repro_tenant_allocation_blocks": "gauge",
-    "repro_kernel_backend_info": "gauge",
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.composition.corun import CorunSolver, predict_corun
-from repro.core.minplus import minplus_convolve
+from repro.core.kernels import convolve
 from repro.locality.footprint import average_footprint
 from repro.workloads import cyclic, uniform_random
 
@@ -49,11 +49,11 @@ def test_solver_knot_subsampling_accuracy():
 
 
 def test_minplus_chunk_boundaries():
-    """Sizes straddling the chunked evaluation's row-block boundary."""
+    """Sizes straddling the tiled kernel's tile boundaries."""
     rng = np.random.default_rng(0)
     for n in (1, 2, 1023, 1024, 1025):
         a, b = rng.random(n), rng.random(n)
-        out, split = minplus_convolve(a, b)
+        out, split = convolve(a, b)
         # spot-check a few cells against the definition
         for k in {0, n // 2, n - 1}:
             row = a[: k + 1] + b[k::-1]
@@ -62,5 +62,5 @@ def test_minplus_chunk_boundaries():
 
 
 def test_minplus_single_cell():
-    out, split = minplus_convolve(np.array([3.0]), np.array([4.0]))
+    out, split = convolve(np.array([3.0]), np.array([4.0]))
     assert out.tolist() == [7.0] and split.tolist() == [0]
