@@ -18,7 +18,7 @@ BENCH_TIERS = {
 import numpy as np
 import pytest
 
-from repro.composition.corun import CorunSolver
+from repro.composition.corun import predict_corun
 from repro.core.baselines import equal_baseline_partition
 from repro.core.dp import optimal_partition
 from repro.core.kernels import convolve
@@ -66,11 +66,11 @@ def bench_equal_baseline_per_group(group_costs, suite_profile, benchmark):
 
 
 def bench_corun_solver_build(suite_profile, benchmark):
-    """Natural-partition solver construction (per-group setup cost)."""
+    """Natural-partition solve of one group (the per-group NCP cost)."""
     fps = [suite_profile.footprints[i] for i in (12, 2, 4, 6)]
     cb = suite_profile.config.cache_blocks
-    solver = benchmark(CorunSolver, fps, cb)
-    assert solver.predict(cb).occupancies.sum() == pytest.approx(cb, rel=0.01)
+    pred = benchmark(predict_corun, fps, cb)
+    assert pred.occupancies.sum() == pytest.approx(cb, rel=0.01)
 
 
 def bench_footprint_profiling(suite_profile, benchmark):
@@ -112,7 +112,7 @@ def bench_ablation_pair_memoization(suite_profile, benchmark):
         cache = FoldCache(max_entries=4096)
         solver = GroupSolver(
             n_units, unit_blocks, schemes=("optimal",),
-            fold_cache=cache, shared=SweepShared(costs=costs), natural="grid",
+            fold_cache=cache, shared=SweepShared(costs=costs),
         )
         totals = []
         for g in groups:

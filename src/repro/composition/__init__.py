@@ -2,7 +2,7 @@
 
 from repro.composition.corun import (
     CoRunPrediction,
-    CorunSolver,
+    group_miss_counts,
     group_miss_ratio_eq11,
     natural_partition,
     predict_corun,
@@ -13,7 +13,7 @@ from repro.composition.stretch import ComposedFootprint, compose_footprints
 
 __all__ = [
     "CoRunPrediction",
-    "CorunSolver",
+    "group_miss_counts",
     "group_miss_ratio_eq11",
     "natural_partition",
     "predict_corun",

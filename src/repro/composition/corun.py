@@ -13,6 +13,9 @@ steady state:
 When the cache is larger than the combined working set the window search
 saturates and every program simply keeps all of its data (zero steady-state
 misses).
+
+:func:`solve_fill_window` is the one solve of ``w*``; every function here
+reads the partition through it.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from repro.locality.hotl import miss_ratio
 
 __all__ = [
     "CoRunPrediction",
-    "CorunSolver",
     "solve_fill_window",
     "natural_partition",
     "predict_corun",
+    "group_miss_counts",
     "group_miss_ratio_eq11",
 ]
 
@@ -54,31 +57,71 @@ class CoRunPrediction:
         return float(np.dot(self.miss_ratios, self.n_accesses)) / total
 
 
-def solve_fill_window(composed: ComposedFootprint, cache_size: float) -> float:
-    """Combined window length ``w*`` with ``fp(w*) = cache_size``.
+#: Sub-brackets per narrowing round of :func:`solve_fill_window`: a round
+#: evaluates the composed footprint at the 63 interior cut points of every
+#: open bracket and keeps the one part that holds the root.
+_SECTIONS = 64
+
+
+def solve_fill_window(
+    composed: ComposedFootprint, cache_sizes: np.ndarray | float
+) -> np.ndarray | float:
+    """Combined window ``w*`` with ``fp(w*) = C``, for one size or a 1-D array.
 
     The composed footprint is continuous, non-decreasing and piecewise
-    linear, so bisection converges unconditionally.  Returns
-    ``composed.max_window`` when the cache exceeds the combined data size
-    (the group never fills it).
+    linear, with a knot wherever a stretched window ``w · ratio_i``
+    crosses an integer.  Each size keeps a bracket ``(lo, hi]`` on
+    ``[0, max_window]`` with ``fp(lo) < C <= fp(hi)``; every round cuts
+    all open brackets into ``_SECTIONS`` parts at once, until no
+    component's stretched window crosses an integer inside its bracket
+    (or the bracket is two adjacent floats).  On that one linear piece
+    the root is closed-form, ``lo + (C - fp(lo)) / slope``.  Each size
+    takes the steps its scalar call would, so an array call returns the
+    scalar calls' bytes.
+
+    A size ``<= 0`` returns ``0.0``; a size the group never fills (its
+    combined data or more) returns ``composed.max_window``.
     """
-    if cache_size <= 0:
-        return 0.0
-    hi = composed.max_window
-    if composed.total_data <= cache_size or composed(hi) <= cache_size:
-        return hi
-    lo = 0.0
-    # bisection to sub-access precision (the curve is linear between
-    # integer stretched windows, so 64 iterations are far beyond enough)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if composed(mid) < cache_size:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * max(hi, 1.0):
+    sizes = np.asarray(cache_sizes, dtype=np.float64)
+    c = np.atleast_1d(sizes)
+    w_max = composed.max_window
+    w = np.where(c <= 0, 0.0, w_max)
+    todo = np.flatnonzero(
+        (c > 0) & (c < composed.total_data) & (c < composed(w_max))
+    )
+    target = c[todo]
+    lo = np.zeros(todo.size)
+    hi = np.full(todo.size, w_max)
+    cuts = np.arange(1, _SECTIONS) / _SECTIONS
+    open_ = np.arange(todo.size)
+    while True:
+        l, h = lo[open_], hi[open_]
+        straddles = np.zeros(open_.size, dtype=bool)
+        for fp, r in zip(composed.footprints, composed.ratios):
+            a = np.minimum(l * r, fp.n)
+            straddles |= np.minimum(h * r, fp.n) > np.floor(a) + 1.0
+        keep = straddles & (np.nextafter(l, np.inf) < h)
+        open_, l, h = open_[keep], l[keep], h[keep]
+        if not open_.size:
             break
-    return 0.5 * (lo + hi)
+        inner = l[:, None] + (h - l)[:, None] * cuts
+        bounds = np.concatenate([l[:, None], inner, h[:, None]], axis=1)
+        # the part ends at the first inner cut reaching the target, else at hi
+        reached = np.ones((open_.size, _SECTIONS), dtype=bool)
+        reached[:, :-1] = np.asarray(composed(inner)) >= target[open_, None]
+        j = np.argmax(reached, axis=1)
+        rows = np.arange(open_.size)
+        lo[open_] = bounds[rows, j]
+        hi[open_] = bounds[rows, j + 1]
+    f_lo = np.asarray(composed(lo), dtype=np.float64)
+    slope = np.zeros(todo.size)
+    for fp, r in zip(composed.footprints, composed.ratios):
+        k = np.minimum(lo * r, fp.n).astype(np.int64)
+        slope += r * (fp.values[np.minimum(k + 1, fp.n)] - fp.values[k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.where(slope > 0, lo + (target - f_lo) / slope, hi)
+    w[todo] = np.clip(root, lo, hi)
+    return float(w[0]) if sizes.ndim == 0 else w
 
 
 def natural_partition(
@@ -92,112 +135,6 @@ def natural_partition(
     composed = compose_footprints(footprints)
     w_star = solve_fill_window(composed, cache_size)
     return composed.components(w_star)
-
-
-_KNOTS_PER_PROGRAM: int = 4096
-"""Grid-size cap per component in :class:`CorunSolver` (accuracy/speed knob)."""
-
-
-class CorunSolver:
-    """Fast repeated co-run prediction for one program group.
-
-    The composed footprint (Eq. 9) is piecewise linear with knots where any
-    *stretched* component hits an integer window.  Precomputing the curve on
-    the union of those knots (up to the largest cache size of interest)
-    turns every subsequent fill-window solve into one interpolation lookup —
-    the workhorse behind the 1820-group sweep and the partition-sharing
-    group-curve construction.
-    """
-
-    def __init__(self, footprints: Sequence[FootprintCurve], max_cache: int):
-        if max_cache < 1:
-            raise ValueError("max_cache must be >= 1")
-        self.footprints = tuple(footprints)
-        self.composed = compose_footprints(footprints)
-        self.max_cache = int(max_cache)
-        # window reaching the largest cache size of interest (one bisection)
-        w_cap = solve_fill_window(self.composed, float(max_cache))
-        ratios = self.composed.ratios
-        knots = [np.array([0.0, w_cap])]
-        for fp, r in zip(self.footprints, ratios):
-            if r <= 0:
-                continue
-            v_max = min(fp.n, int(np.ceil(w_cap * r)) + 1)
-            if v_max <= _KNOTS_PER_PROGRAM:
-                v = np.arange(v_max + 1, dtype=np.float64)
-            else:
-                # footprints are near-concave: a dense-near-zero log grid
-                # approximates the piecewise-linear curve to high accuracy
-                v = np.unique(
-                    np.round(
-                        np.geomspace(1.0, v_max, _KNOTS_PER_PROGRAM)
-                    )
-                )
-                v = np.concatenate([[0.0], v])
-            knots.append(v / r)
-        grid = np.unique(np.concatenate(knots))
-        grid = grid[grid <= w_cap + 1e-9]
-        self._w_grid = grid
-        self._fp_grid = np.asarray(self.composed(grid), dtype=np.float64)
-        self._n_accesses = np.array([fp.n for fp in self.footprints], dtype=np.int64)
-
-    def fill_windows(self, cache_sizes: np.ndarray | float) -> np.ndarray | float:
-        """Vectorized ``w*`` solve: combined window filling each cache size."""
-        c = np.asarray(cache_sizes, dtype=np.float64)
-        if np.any(c > self.max_cache + 1e-9):
-            raise ValueError("cache size exceeds the solver's max_cache")
-        fp_vals = self._fp_grid
-        idx = np.searchsorted(fp_vals, c, side="left")
-        idx = np.clip(idx, 1, fp_vals.size - 1)
-        f_lo, f_hi = fp_vals[idx - 1], fp_vals[idx]
-        w_lo, w_hi = self._w_grid[idx - 1], self._w_grid[idx]
-        run = f_hi - f_lo
-        frac = np.where(run > 0, (c - f_lo) / np.where(run > 0, run, 1.0), 0.0)
-        w = w_lo + np.clip(frac, 0.0, 1.0) * (w_hi - w_lo)
-        # saturate: cache bigger than the group's data never fills
-        w = np.where(c >= fp_vals[-1], self._w_grid[-1], w)
-        w = np.where(c <= 0, 0.0, w)
-        return float(w) if w.ndim == 0 else w
-
-    def occupancies(self, cache_size: float) -> np.ndarray:
-        """Natural Cache Partition at one cache size (fractional blocks)."""
-        w = float(self.fill_windows(cache_size))
-        return self.composed.components(w)
-
-    def predict(self, cache_size: int) -> CoRunPrediction:
-        """Equivalent of :func:`predict_corun`, using the precomputed grid."""
-        occ = self.occupancies(cache_size)
-        ratios = np.array(
-            [float(miss_ratio(fp, c)) for fp, c in zip(self.footprints, occ)],
-            dtype=np.float64,
-        )
-        return CoRunPrediction(
-            names=tuple(fp.name for fp in self.footprints),
-            cache_size=int(cache_size),
-            fill_window=float(self.fill_windows(cache_size)),
-            occupancies=occ,
-            miss_ratios=ratios,
-            n_accesses=self._n_accesses,
-        )
-
-    def group_miss_counts(self, cache_sizes: np.ndarray) -> np.ndarray:
-        """Expected group miss count at each cache size (vectorized).
-
-        Used to build partition-sharing group cost curves: for each size,
-        the sum over members of ``mr_i(c_i) * n_i`` at the natural
-        occupancies.
-        """
-        sizes = np.asarray(cache_sizes, dtype=np.float64)
-        w = np.atleast_1d(np.asarray(self.fill_windows(sizes), dtype=np.float64))
-        total = np.zeros(w.size, dtype=np.float64)
-        for fp, r, n in zip(self.footprints, self.composed.ratios, self._n_accesses):
-            occ = np.asarray(fp(w * r), dtype=np.float64)
-            mrs = np.asarray(miss_ratio(fp, occ), dtype=np.float64)
-            total += mrs * float(n)
-        zero_sized = np.atleast_1d(sizes) <= 0
-        if np.any(zero_sized):
-            total[zero_sized] = float(self._n_accesses.sum())
-        return total
 
 
 def predict_corun(
@@ -224,6 +161,26 @@ def predict_corun(
         miss_ratios=ratios,
         n_accesses=np.array([fp.n for fp in footprints], dtype=np.int64),
     )
+
+
+def group_miss_counts(
+    footprints: Sequence[FootprintCurve], sizes: np.ndarray
+) -> np.ndarray:
+    """Expected group miss count at each cache size in ``sizes`` (blocks).
+
+    The sum over members of ``mr_i(c_i) · n_i`` at the natural
+    occupancies ``c_i`` of each size: a partition-sharing group's cost
+    curve.  A size ``<= 0`` misses every access.
+    """
+    composed = compose_footprints(footprints)
+    c = np.atleast_1d(np.asarray(sizes, dtype=np.float64))
+    w = np.asarray(solve_fill_window(composed, c), dtype=np.float64)
+    total = np.zeros(c.size, dtype=np.float64)
+    for fp, r in zip(composed.footprints, composed.ratios):
+        occ = np.asarray(fp(w * r), dtype=np.float64)
+        total += np.asarray(miss_ratio(fp, occ), dtype=np.float64) * float(fp.n)
+    total[c <= 0] = float(sum(fp.n for fp in composed.footprints))
+    return total
 
 
 def group_miss_ratio_eq11(

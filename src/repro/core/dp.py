@@ -26,6 +26,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from repro.core.kernels import check_costs
 from repro.core.minplus import convolve_at, fold_curves
 
 __all__ = [
@@ -125,9 +126,7 @@ def validate_instance(costs: Sequence[np.ndarray], budget: int) -> int:
     size = int(np.asarray(costs[0]).size)
     if any(np.asarray(c).size != size for c in costs):
         raise ValueError("all cost curves must have equal length")
-    # one pass per curve: NaN > -inf is False, like -inf > -inf
-    if not all(bool(np.all(np.asarray(c) > -np.inf)) for c in costs):
-        raise ValueError("costs must be finite or +inf; got NaN or -inf")
+    check_costs(*costs)
     if not 0 <= budget < size:
         raise ValueError(f"budget must be within the curves' grid [0, {size - 1}]")
     return size

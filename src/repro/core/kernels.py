@@ -14,14 +14,16 @@ long grids.  :func:`oracle_convolve` is the interpreted double loop the
 tests hold it to: byte-identical ``out`` values **and** byte-identical
 ``split`` tie-breaks, including ``+inf`` constraint entries (an
 all-infeasible output cell reports ``split == 0``), pinned by
-``tests/test_kernels.py``.
+``tests/test_kernels.py``.  NaN and ``-inf`` costs are rejected
+(:func:`check_costs`): either would make the strict ``<`` comparisons
+pick a wrong split silently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["active_kernel", "convolve", "oracle_convolve"]
+__all__ = ["active_kernel", "check_costs", "convolve", "oracle_convolve"]
 
 #: Tile edge: 256² doubles = 512 KiB per tile pair.
 _BLOCKED_TILE = 256
@@ -31,6 +33,18 @@ _BLOCKED_TILE = 256
 def active_kernel() -> str:
     """The name of the one kernel :func:`convolve` runs."""
     return "blocked"
+
+
+def check_costs(*curves: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every cost is finite or ``+inf``.
+
+    ``+inf`` marks an infeasible size; NaN and ``-inf`` are malformed.
+    """
+    for c in curves:
+        arr = np.asarray(c)
+        # min propagates NaN, and NaN > -inf is False like -inf > -inf
+        if arr.size and not arr.min() > -np.inf:
+            raise ValueError("costs must be finite or +inf; got NaN or -inf")
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -44,6 +58,7 @@ def convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("cost curves must be 1-D and of equal length")
+    check_costs(a, b)
     return _blocked_convolve_impl(a, b, tile=_BLOCKED_TILE)
 
 

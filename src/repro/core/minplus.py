@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.kernels import convolve
+from repro.core.kernels import check_costs, convolve
 
 __all__ = [
     "convolve_at",
@@ -97,7 +97,8 @@ def fold_curves(costs: Sequence[np.ndarray]) -> MinPlusFold:
     Stage ``j`` adds program ``j + 1`` to the running optimum of the first
     ``j + 1`` programs — exactly the paper's recurrence; total time
     O(P · C²), space O(P · C).  Convolutions run on
-    :func:`repro.core.kernels.convolve`.
+    :func:`repro.core.kernels.convolve`; a NaN or ``-inf`` cost raises
+    ``ValueError``.
     """
     fold, _ = fold_curves_stages(costs)
     return fold
@@ -115,6 +116,7 @@ def fold_curves_stages(
     if not costs:
         raise ValueError("need at least one cost curve")
     running = np.ascontiguousarray(costs[0], dtype=np.float64)
+    check_costs(running)  # every later curve is checked by convolve
     prefixes: list[np.ndarray] = [running]
     splits: list[np.ndarray] = []
     for curve in costs[1:]:

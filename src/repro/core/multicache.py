@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.composition.corun import CorunSolver
+from repro.composition.corun import group_miss_counts
 from repro.locality.footprint import FootprintCurve
 
 __all__ = ["Assignment", "group_shared_cost", "optimal_assignment", "greedy_assignment"]
@@ -35,8 +35,7 @@ def group_shared_cost(
     """Predicted miss count of one group free-for-all sharing one cache."""
     if not footprints:
         return 0.0
-    solver = CorunSolver(footprints, max_cache=cache_size)
-    return float(solver.group_miss_counts(np.array([float(cache_size)]))[0])
+    return float(group_miss_counts(footprints, np.array([float(cache_size)]))[0])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.composition.corun import CorunSolver
+from repro.composition.corun import group_miss_counts
 from repro.core.minplus import fold_curves
 from repro.locality.footprint import FootprintCurve
 
@@ -79,9 +79,8 @@ def group_cost_curve(
     by the natural partition within the group.  A zero-unit partition
     makes every steady-state access a miss.
     """
-    solver = CorunSolver(footprints, max_cache=n_units * unit_blocks)
     sizes = np.arange(n_units + 1, dtype=np.float64) * unit_blocks
-    return solver.group_miss_counts(sizes)
+    return group_miss_counts(footprints, sizes)
 
 
 @dataclass(frozen=True)

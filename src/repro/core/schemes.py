@@ -18,7 +18,7 @@ material of Table I and Figures 5–7.
 The schemes themselves live in the engine layer
 (:mod:`repro.engine.solver`), registered once in the
 :mod:`repro.engine.registry`; this module is the stable single-group
-entry point (exact natural-partition math, direct DP fold) and
+entry point (direct DP fold, no suite-level sharing) and
 ``SCHEMES`` is the registry-derived name tuple.
 """
 
@@ -50,9 +50,9 @@ def evaluate_group(
     profiles used for the natural partition.  The group miss ratio is
     weighted by each program's access count (Eq. 15 works in miss counts).
 
-    This is the engine's ``natural="exact"`` single-group path: the
-    natural partition comes from exact footprint composition (bisection),
-    the optimum from the direct left fold.
+    This is the engine's single-group path: the natural partition comes
+    from the one exact fill-window solve, the optimum from the direct
+    left fold.
     """
-    solver = GroupSolver(n_units, unit_blocks, schemes=schemes, natural="exact")
+    solver = GroupSolver(n_units, unit_blocks, schemes=schemes)
     return solver.evaluate(mrcs, footprints)

@@ -292,7 +292,8 @@ class FoldCache:
             if warm:
                 result = self._solve_warm(costs, budget, q, salt)
             else:
-                validate_instance(costs, budget)
+                # a malformed instance can only miss: optimal_partition
+                # validates it before anything is stored
                 key = salt + cost_fingerprint(costs, budget, quantum=q)
                 cached = self.get(key)
                 if cached is None:

@@ -12,28 +12,25 @@ Layer diagram (bottom-up):
 
 A :class:`GroupSolver` owns the grid geometry (``n_units`` allocation
 units of ``unit_blocks`` cache blocks), an optional shared
-:class:`~repro.engine.foldcache.FoldCache`, and two precision/speed
-strategy knobs that the callers need:
+:class:`~repro.engine.foldcache.FoldCache`, and one strategy knob,
+``shared`` — a :class:`SweepShared` bundle of suite-level cost curves.
+When present and the group size is 4, the unconstrained and
+equal-baseline DPs run as the pair tree ((a⊕b)⊕(c⊕d)): the 120
+two-program curves are memoized in the FoldCache and shared across all
+1820 groups of the §VII-A sweep, and each group's final stage is one
+point query (:func:`~repro.core.minplus.convolve_at`) at the budget,
+not a full convolution.
 
-* ``natural`` — ``"exact"`` solves the Natural Cache Partition by exact
-  footprint composition + bisection (single-group calls);  ``"grid"``
-  uses the precomputed-knot :class:`~repro.composition.corun.CorunSolver`
-  (the sweep's fast path);
-* ``shared`` — a :class:`SweepShared` bundle of suite-level cost curves.
-  When present and the group size is 4, the unconstrained and
-  equal-baseline DPs run as the pair tree ((a⊕b)⊕(c⊕d)): the 120
-  two-program curves are memoized in the FoldCache and shared across
-  all 1820 groups of the §VII-A sweep, and each group's final stage is
-  one point query (:func:`~repro.core.minplus.convolve_at`) at the
-  budget, not a full convolution.
+The Natural Cache Partition has one solve,
+:func:`~repro.composition.corun.predict_corun`, run once per group.
 
 Schemes read each fold at the one budget they allocate: the direct DP
 (:func:`~repro.core.dp.optimal_partition`) trims every curve's leading
 ``+inf`` prefix and folds on the slack, and STTW is one sort.
 
 Every scheme sees the group through a :class:`GroupContext`, which
-computes shared artifacts lazily (cost curves once, the co-run solver
-once for the two natural-partition schemes, etc.).
+computes shared artifacts lazily (cost curves once, the co-run
+prediction once for the two natural-partition schemes, etc.).
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.composition.corun import CoRunPrediction, CorunSolver, predict_corun
+from repro.composition.corun import CoRunPrediction, predict_corun
 from repro.core.baselines import (
     equal_allocation,
     equal_baseline_partition,
@@ -51,7 +48,7 @@ from repro.core.baselines import (
 )
 from repro.core.dp import optimal_partition
 from repro.core.minplus import convolve_at
-from repro.core.natural import natural_partition_units, round_to_units
+from repro.core.natural import round_to_units
 from repro.core.policy import (
     DEFAULT_POLICY,
     ObjectivePolicy,
@@ -167,7 +164,6 @@ class GroupContext:
         self.policy = solver.policy
         self._costs: list[np.ndarray] | None = None
         self._weights: np.ndarray | None = None
-        self._corun: CorunSolver | None = None
         self._natural_pred: CoRunPrediction | None = None
         self._natural_units: np.ndarray | None = None
 
@@ -218,34 +214,17 @@ class GroupContext:
         return self._weights
 
     # ------------------------------------------------- natural partition
-    @property
-    def corun_solver(self) -> CorunSolver:
-        """The grid-mode co-run solver, built once per group."""
-        if self._corun is None:
-            self._corun = CorunSolver(self.footprints, max_cache=self.cache_blocks)
-        return self._corun
-
     def natural_prediction(self) -> CoRunPrediction:
         """Shared-cache (free-for-all) prediction under the NPA."""
         if self._natural_pred is None:
-            if self.solver.natural == "grid":
-                self._natural_pred = self.corun_solver.predict(self.cache_blocks)
-            else:
-                self._natural_pred = predict_corun(self.footprints, self.cache_blocks)
+            self._natural_pred = predict_corun(self.footprints, self.cache_blocks)
         return self._natural_pred
 
     def natural_units(self) -> np.ndarray:
         """The unit-rounded Natural Cache Partition (§V-A)."""
         if self._natural_units is None:
-            if self.solver.natural == "grid":
-                occ = self.corun_solver.occupancies(self.cache_blocks)
-                self._natural_units = round_to_units(
-                    occ / self.unit_blocks, self.n_units
-                )
-            else:
-                self._natural_units = natural_partition_units(
-                    self.footprints, self.cache_blocks, self.unit_blocks
-                )
+            occ = self.natural_prediction().occupancies
+            self._natural_units = round_to_units(occ / self.unit_blocks, self.n_units)
         return self._natural_units
 
     # ----------------------------------------------------------- solving
@@ -384,14 +363,11 @@ class GroupSolver:
         schemes: Sequence[str] | None = None,
         fold_cache: FoldCache | None = None,
         shared: SweepShared | None = None,
-        natural: str = "exact",
         policy: ObjectivePolicy | None = None,
         tracer: TracerLike | None = None,
     ) -> None:
         if n_units < 1 or unit_blocks < 1:
             raise ValueError("n_units and unit_blocks must be >= 1")
-        if natural not in ("exact", "grid"):
-            raise ValueError("natural must be 'exact' or 'grid'")
         self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
         if shared is not None and fold_cache is None:
             fold_cache = FoldCache(
@@ -412,7 +388,6 @@ class GroupSolver:
         self.schemes = resolve_schemes(schemes)
         self.fold_cache = fold_cache
         self.shared = shared
-        self.natural = natural
 
     def evaluate(
         self,

@@ -207,7 +207,7 @@ def _sweep_solver(
     policy: ObjectivePolicy | None = None,
     tracer=None,
 ) -> GroupSolver:
-    """The engine facade for one sweep: suite curves shared, grid natural.
+    """The engine facade for one sweep, with the suite curves shared.
 
     The :class:`~repro.engine.solver.SweepShared` bundle holds every
     program's policy-compiled cost curve (and, when the equal baseline
@@ -239,7 +239,6 @@ def _sweep_solver(
         cfg.unit_blocks,
         schemes=schemes,
         shared=shared,
-        natural="grid",
         policy=policy,
         tracer=tracer,
     )

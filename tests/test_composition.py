@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.composition.corun import (
-    CorunSolver,
+    group_miss_counts,
     natural_partition,
     predict_corun,
     solve_fill_window,
@@ -109,32 +109,61 @@ def test_corun_prediction_group_weighting():
     assert pred.group_miss_ratio == pytest.approx(expect)
 
 
-def test_solver_matches_bisection_path():
-    fps = _fps(
-        uniform_random(3000, 200, seed=8),
-        zipf(3000, 150, alpha=1.2, seed=9),
-        sawtooth(3000, 120),
-    )
-    solver = CorunSolver(fps, max_cache=400)
-    for C in (10, 100, 250, 400):
-        fast = solver.predict(C)
-        slow = predict_corun(fps, C)
-        assert np.allclose(fast.occupancies, slow.occupancies, atol=0.5)
-        assert np.allclose(fast.miss_ratios, slow.miss_ratios, atol=1e-3)
+def _knot_oracle(comp, cache_size):
+    """Root of ``fp(w) = C`` over the dense union of the composed knots.
+
+    Every stretched knot ``v / r_i``, the first knot reaching ``C``, and
+    the closed form on the linear piece between it and its predecessor.
+    """
+    knots = [np.arange(fp.n + 1, dtype=np.float64) / r
+             for fp, r in zip(comp.footprints, comp.ratios)]
+    grid = np.unique(np.concatenate(knots))
+    f = comp(grid)
+    i = int(np.argmax(f >= cache_size))
+    assert i > 0 and f[i] >= cache_size
+    w_a, w_b, f_a, f_b = grid[i - 1], grid[i], f[i - 1], f[i]
+    return w_a + (cache_size - f_a) * (w_b - w_a) / (f_b - f_a)
 
 
-def test_solver_rejects_oversized_query():
-    fps = _fps(cyclic(100, 10))
-    solver = CorunSolver(fps, max_cache=8)
-    with pytest.raises(ValueError):
-        solver.fill_windows(50.0)
+@pytest.mark.parametrize(
+    "traces, sizes",
+    [
+        # 120,000 accesses per program: far past the 4096 knots per
+        # program a precomputed knot grid could afford
+        (
+            lambda: [uniform_random(120_000, 3000, seed=2), cyclic(120_000, 2500)],
+            (500.0, 1500.0, 3000.0, 4000.0),
+        ),
+        (
+            lambda: [
+                uniform_random(3000, 200, seed=8),
+                zipf(3000, 150, alpha=1.2, seed=9),
+                sawtooth(3000, 120).with_rate(2.0),
+            ],
+            (1.0, 10.0, 100.0, 250.0, 400.0),
+        ),
+    ],
+    ids=["120k-accesses", "3k-accesses"],
+)
+def test_fill_window_matches_union_of_knots_oracle(traces, sizes):
+    comp = compose_footprints(_fps(*traces()))
+    for c in sizes:
+        w = solve_fill_window(comp, c)
+        assert abs(w - _knot_oracle(comp, c)) <= 1e-12 * w, c
+    # a zero-size and a saturated query, then the array call: the same
+    # bytes as the scalar calls, element by element
+    assert solve_fill_window(comp, 0.0) == 0.0
+    assert solve_fill_window(comp, comp.total_data + 1.0) == comp.max_window
+    queries = np.array([0.0, *sizes, comp.total_data + 1.0])
+    batch = solve_fill_window(comp, queries)
+    scalar = np.array([solve_fill_window(comp, float(c)) for c in queries])
+    assert batch.tobytes() == scalar.tobytes()
 
 
 def test_solver_group_miss_counts_monotone():
     fps = _fps(uniform_random(2000, 120, seed=10), cyclic(2000, 80))
-    solver = CorunSolver(fps, max_cache=256)
     sizes = np.arange(0, 257, 16, dtype=np.float64)
-    counts = solver.group_miss_counts(sizes)
+    counts = group_miss_counts(fps, sizes)
     assert counts[0] == pytest.approx(4000)  # no cache: everything misses
     assert np.all(np.diff(counts) <= 1e-6)  # more cache never hurts a group
 

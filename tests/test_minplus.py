@@ -132,3 +132,22 @@ def test_fold_infeasible_budget_raises():
 def test_fold_empty_rejected():
     with pytest.raises(ValueError):
         fold_curves([])
+
+
+def test_nan_and_negative_inf_costs_are_rejected():
+    """Both made the kernel's comparisons pick wrong splits silently:
+    ``convolve(a, b)`` returned all ``+inf`` where the oracle gives
+    [9, 8, 5, 4], and ``fold_curves([b, a, c]).allocate(3)`` returned
+    [0, 0, 3] at 9.0 although [0, 2, 1] costs 7.0."""
+    b = np.array([4.0, 3.0, 2.0, 1.0])
+    c = np.array([3.0, 2.0, 1.0, 0.0])
+    for bad in (np.nan, -np.inf):
+        a = np.array([5.0, bad, 1.0, 0.5])
+        for call in (
+            lambda: convolve(a, b),
+            lambda: convolve(b, a),
+            lambda: fold_curves([b, a, c]),
+            lambda: fold_curves([a]),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()

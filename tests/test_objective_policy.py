@@ -329,7 +329,7 @@ def test_pair_tree_folds_do_not_leak_across_policies():
         solver = GroupSolver(
             n_units, unit,
             schemes=("optimal",), fold_cache=fold_cache, shared=shared,
-            natural="grid", policy=policy,
+            policy=policy,
         )
         return solver.evaluate(mrcs, fps, members=(0, 1, 2, 3)).outcomes["optimal"]
 

@@ -108,3 +108,21 @@ def test_sharing_advantage_vanishes_at_block_granularity():
 
     assert rel_gap(fine) < 0.01
     assert rel_gap(fine) <= rel_gap(coarse) + 1e-9
+
+
+def test_optimal_partition_sharing_rejects_nan_group_curves(monkeypatch):
+    """The wall placement folds group curves with fold_curves directly,
+    so a NaN or -inf group cost raises instead of picking a wrong split."""
+    from repro.core import partition_sharing
+
+    b = np.array([4.0, 3.0, 2.0, 1.0])
+    c = np.array([3.0, 2.0, 1.0, 0.0])
+    for bad in (np.nan, -np.inf):
+        solo = {"b": b, "a": np.array([5.0, bad, 1.0, 0.5]), "c": c}
+        monkeypatch.setattr(
+            partition_sharing,
+            "group_cost_curve",
+            lambda fps, n_units, unit_blocks: solo[fps[0]] if len(fps) == 1 else c,
+        )
+        with pytest.raises(ValueError, match="finite"):
+            partition_sharing.optimal_partition_sharing(["b", "a", "c"], 3, 1)
